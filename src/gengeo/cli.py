@@ -483,7 +483,7 @@ def sixdim_report(trajectory_path: str, z_text: str | None) -> Report:
 
     traj = Trajectory.load(trajectory_path)
     z_values = parse_z_list(z_text) if z_text else list(DEFAULT_Z_SWEEP)
-    rep = check_trajectory(traj, z_values)
+    rep = check_trajectory(traj, z_values, traj.config.method, traj.config.stability_floor)
     report = Report("sixdim-check",
                     {"trajectory": trajectory_path, "z": [str(z) for z in z_values]})
     tol = 1e-10

@@ -122,15 +122,26 @@ def derivative_matrix(n: int, method: str) -> np.ndarray:
     raise ValueError(f"unknown derivative method {method!r}")
 
 
-def _axis_derivative(fields: np.ndarray, axis: int, dmat: np.ndarray) -> np.ndarray:
-    # contiguous reshape to (batch, n, post) makes this one batched dgemm
-    fields = np.ascontiguousarray(fields)
+def _axis_derivative(fields: np.ndarray, axis: int, dmat: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Apply dmat along one axis as a (pre, n, post) contraction.
+
+    The batched matmul issues one dgemm per pre-slice.  On the last axis
+    (post = 1) those would be pre separate matvecs, so it runs as a single
+    (pre, n) @ dmat.T GEMM instead.  A given ``out`` must be C-contiguous:
+    it is written through reshaped views.
+    """
     shape = fields.shape
     n = shape[axis]
     pre = int(np.prod(shape[:axis], dtype=np.int64))
     post = int(np.prod(shape[axis + 1:], dtype=np.int64))
-    work = fields.reshape(pre, n, post)
-    return np.matmul(dmat, work).reshape(shape)
+    if out is None:
+        out = np.empty(shape, dtype=np.float64)
+    if post == 1:
+        np.matmul(fields.reshape(pre, n), dmat.T, out=out.reshape(pre, n))
+    else:
+        np.matmul(dmat, fields.reshape(pre, n, post), out=out.reshape(pre, n, post))
+    return out
 
 
 def spectral_gradient(fields: np.ndarray, n: int) -> np.ndarray:
@@ -147,8 +158,7 @@ def _gradient(fields: np.ndarray, n: int, method: str) -> np.ndarray:
     dmat = derivative_matrix(n, method)
     out = np.empty((DIM,) + fields.shape, dtype=np.float64)
     for i in range(DIM):
-        axis = fields.ndim - DIM + i
-        out[i] = _axis_derivative(fields, axis, dmat)
+        _axis_derivative(fields, fields.ndim - DIM + i, dmat, out[i])
     return out
 
 
@@ -159,8 +169,11 @@ def gradient_op(method: str) -> Callable[[np.ndarray, int], np.ndarray]:
 def grid_d(fields: np.ndarray, parity: int, n: int, method: str = "spectral") -> np.ndarray:
     """Exterior derivative of a sampled form (leading axis = component)."""
     tables = form_tables(DIM)
-    derivs = gradient_op(method)(fields, n)
-    return tables.d_apply(derivs, parity)
+    dmat = derivative_matrix(n, method)
+    first = fields.ndim - DIM
+    blocks = [_axis_derivative(fields[sources], first + i, dmat)
+              for i, sources in enumerate(tables.ext_sources[parity])]
+    return tables.d_apply(blocks, parity)
 
 
 # -- pointwise spin geometry on the grid -----------------------------------------
@@ -238,9 +251,9 @@ def flow_step(state: GridState, method: str = "spectral",
         return state.copy()
     r1, r2 = state.rho1, state.rho2
     k1 = _rhs(r1, r2, n, method, floor, t)
-    k2 = _rhs(r1 + 0.5 * dt * k1[0], r2 + 0.5 * dt * k1[1], n, method, floor, t)
-    k3 = _rhs(r1 + 0.5 * dt * k2[0], r2 + 0.5 * dt * k2[1], n, method, floor, t)
-    k4 = _rhs(r1 + dt * k3[0], r2 + dt * k3[1], n, method, floor, t)
+    k2 = _rhs(r1 + 0.5 * dt * k1[0], r2 + 0.5 * dt * k1[1], n, method, floor, t + 0.5 * dt)
+    k3 = _rhs(r1 + 0.5 * dt * k2[0], r2 + 0.5 * dt * k2[1], n, method, floor, t + 0.5 * dt)
+    k4 = _rhs(r1 + dt * k3[0], r2 + dt * k3[1], n, method, floor, t + dt)
     new1 = r1 + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
     new2 = r2 + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
     return GridState(n, new1, new2, t + dt, dt)
@@ -256,7 +269,11 @@ def hamiltonian(state: GridState, floor: float = 1e-6) -> float:
     """
     f = stability_field(state.rho1, state.rho2)
     _check_stability(f, floor, state.t)
-    return float(np.sum(np.sqrt(np.abs(f)))) * state.cell_volume
+    return _total_volume(f, state.cell_volume)
+
+
+def _total_volume(f: np.ndarray, cell_volume: float) -> float:
+    return float(np.sum(np.sqrt(np.abs(f)))) * cell_volume
 
 
 def mean_modes(state: GridState) -> np.ndarray:
@@ -385,18 +402,20 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
     mean0 = mean_modes(state)
 
     def record(s: GridState) -> None:
+        # one Q/f evaluation per state feeds V, min|f| and the orbit sign
+        f = stability_field(s.rho1, s.rho2)
+        sign = _check_stability(f, config.stability_floor, s.t)
         entry: dict = {"t": s.t}
         if "hamiltonian" in config.diagnostics:
-            entry["hamiltonian"] = hamiltonian(s, config.stability_floor)
+            entry["hamiltonian"] = _total_volume(f, s.cell_volume)
         if "mean-modes" in config.diagnostics:
             entry["mean_mode_drift"] = float(np.max(np.abs(mean_modes(s) - mean0)))
         if "closedness" in config.diagnostics:
             d1, d2 = closedness_norms(s, config.method)
             entry["d_rho1"] = d1
             entry["d_rho2"] = d2
-        f = stability_field(s.rho1, s.rho2)
         entry["min_abs_f"] = float(np.min(np.abs(f)))
-        entry["orbit_sign"] = _check_stability(f, config.stability_floor, s.t)
+        entry["orbit_sign"] = sign
         traj.diagnostics.append(entry)
 
     def record_nahm() -> None:

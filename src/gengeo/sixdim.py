@@ -157,26 +157,20 @@ def annihilator_nullity(s: SigmaSlice, max_nodes: int = 64) -> int:
     is at least 2.
     """
     ft6 = form_tables(DIM6)
-    grid_shape = s.sigma.shape[1:]
     flat = s.sigma.reshape(s.sigma.shape[0], -1)
-    total = flat.shape[1]
-    stride = max(1, total // max_nodes)
-    nodes = range(0, total, stride)
-    min_nullity = 12
-    for node in nodes:
-        rows = []
-        basis = np.zeros((2 * DIM6, 1))
-        sigma_node = flat[:, node: node + 1]
-        for a in range(2 * DIM6):
-            basis[:] = 0.0
-            basis[a] = 1.0
-            rows.append(ft6.clifford_apply(basis, sigma_node, 0)[:, 0])
-        mat = np.stack(rows)
-        svals = np.linalg.svd(mat, compute_uv=False)
-        scale = svals[0] if svals[0] > 0 else 1.0
-        nullity = int(np.sum(svals < 1e-9 * scale))
-        min_nullity = min(min_nullity, nullity)
-    return min_nullity
+    stride = max(1, flat.shape[1] // max_nodes)
+    sigma_nodes = flat[:, ::stride]
+    basis = np.zeros((2 * DIM6, sigma_nodes.shape[1]))
+    rows = []
+    for a in range(2 * DIM6):
+        basis[:] = 0.0
+        basis[a] = 1.0
+        rows.append(ft6.clifford_apply(basis, sigma_nodes, 0))
+    mats = np.stack(rows).transpose(2, 0, 1)      # (node, section, odd component)
+    svals = np.linalg.svd(mats, compute_uv=False)
+    scale = np.where(svals[:, 0] > 0, svals[:, 0], 1.0)
+    nullity = np.sum(svals < 1e-9 * scale[:, None], axis=1)
+    return int(nullity.min())
 
 
 def gram_signature(s: SigmaSlice) -> tuple[int, int, int]:

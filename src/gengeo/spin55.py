@@ -38,11 +38,6 @@ DIM = 5
 GRAM_V1V2 = Fraction(1)
 GRAM_HH = Fraction(-1, 2)
 
-# A section whose polynomial components are multiples of the coordinate
-# volume dx1..5 (Q and the stored triple are returned in this sense).
-DensitizedSection = GenSection
-
-
 class StabilityError(ValueError):
     """Operation evaluated at an unstable point (f = 0) or off-orbit input."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -65,6 +66,17 @@ class FormTables:
                     for out_idx, coeff in out.terms.items():
                         _, dst = self.pos[out_idx]
                         self.ext[parity].append((i, src, dst, int(coeff.constant_value())))
+        # Grid d differentiates only the (axis, src) pairs ext reads: per
+        # parity, the sources of each axis, and ext re-indexed into the
+        # per-axis derivative blocks as (axis, row, dst, sign).
+        self.ext_sources: dict[int, list[list[int]]] = {}
+        self.ext_blocks: dict[int, list[Entry]] = {}
+        for parity, entries in self.ext.items():
+            sources = [sorted({src for i, src, _, _ in entries if i == axis})
+                       for axis in range(dim)]
+            self.ext_sources[parity] = sources
+            self.ext_blocks[parity] = [(i, sources[i].index(src), dst, sign)
+                                       for i, src, dst, sign in entries]
 
         # Mukai pairing signs: <odd a, even b> and <even a, odd b> when the
         # index sets are complementary (only parity-mixed pairs survive in
@@ -105,15 +117,15 @@ class FormTables:
                 out -= a[i] * b[j]
         return out
 
-    def d_apply(self, derivs: np.ndarray, parity: int) -> np.ndarray:
-        """Assemble d(form) from derivs[i, src, ...] = d(form[src])/dx_i."""
+    def d_apply(self, blocks: Sequence[np.ndarray], parity: int) -> np.ndarray:
+        """Assemble d(form) from blocks[i][k] = d(form[ext_sources[parity][i][k]])/dx_i."""
         n_out = self.n_odd if parity == 0 else self.n_even
-        out = np.zeros((n_out,) + derivs.shape[2:], dtype=derivs.dtype)
-        for i, src, dst, sign in self.ext[parity]:
+        out = np.zeros((n_out,) + blocks[0].shape[1:], dtype=blocks[0].dtype)
+        for i, row, dst, sign in self.ext_blocks[parity]:
             if sign == 1:
-                out[dst] += derivs[i, src]
+                out[dst] += blocks[i][row]
             else:
-                out[dst] -= derivs[i, src]
+                out[dst] -= blocks[i][row]
         return out
 
 
@@ -122,6 +134,7 @@ class QTables:
 
     q_entries[slot] lists (a, b, coeff) with component_slot(phi) =
     sum coeff * phi_a * phi_b = 2 <e_slot . phi, phi>, phi even.
+    q_pairs[slot] is the same sum with the (a, b) and (b, a) terms merged.
     """
 
     def __init__(self, dim: int = 5):
@@ -147,14 +160,24 @@ class QTables:
                     if cv:
                         entries.append((a, b, 2 * int(cv)))
             self.q_entries.append(entries)
+        self.q_pairs: list[list[tuple[int, int, int]]] = []
+        for entries in self.q_entries:
+            merged: dict[tuple[int, int], int] = {}
+            for a, b, coeff in entries:
+                key = (min(a, b), max(a, b))
+                merged[key] = merged.get(key, 0) + coeff
+            self.q_pairs.append([(a, b, coeff) for (a, b), coeff in merged.items() if coeff])
 
     def q_apply(self, phi: np.ndarray) -> np.ndarray:
         """Densitized Q(phi): slots [X^1..X^5, xi_1..xi_5]."""
         out = np.zeros((2 * self.dim,) + phi.shape[1:], dtype=phi.dtype)
-        for slot, entries in enumerate(self.q_entries):
+        term = np.empty(phi.shape[1:], dtype=phi.dtype)
+        for slot, pairs in enumerate(self.q_pairs):
             acc = out[slot]
-            for a, b, coeff in entries:
-                acc += coeff * (phi[a] * phi[b])
+            for a, b, coeff in pairs:
+                np.multiply(phi[a], coeff, out=term)
+                term *= phi[b]
+                acc += term
         return out
 
     def p_apply(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:

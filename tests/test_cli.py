@@ -113,6 +113,31 @@ def test_flow_and_sixdim_cli(tmp_path):
     assert any(c["id"] == "gram-signature" for c in sreport["checks"])
 
 
+def test_sixdim_check_uses_trajectory_method_and_floor(tmp_path, monkeypatch):
+    from gengeo import sixdim
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 6, "dt": 0.02, "steps": 3, "epsilon": 0.01,
+                               "method": "fd4", "stability_floor": 1e-3}))
+    traj = tmp_path / "traj.npz"
+    assert run_cli(["flow", "run", "--config", str(cfg), "--out", str(tmp_path / "flow.json"),
+                    "--trajectory", str(traj)]) == 0
+    seen = []
+    check = sixdim.check_trajectory
+
+    def spy(source, z_values, method="spectral", floor=1e-6):
+        seen.append((method, floor))
+        return check(source, z_values, method, floor)
+
+    monkeypatch.setattr(sixdim, "check_trajectory", spy)
+    out = tmp_path / "six.json"
+    assert run_cli(["sixdim", "check", "--trajectory", str(traj), "--z", "1",
+                    "--out", str(out)]) == 0
+    assert seen == [("fd4", 1e-3)]
+    # fd4 data under fd4 d: 5.8e-4; under the spectral d it would read 6.5e-2
+    assert read(out)["dsigma"]["1"] < 1e-2
+
+
 def test_input_errors_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

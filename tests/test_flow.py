@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from gengeo import flow
 from gengeo.flow import (FlowConfig, Trajectory, closedness_norms, courant_bracket_grid,
-                         fd4_gradient, flow_step, grid_d, hamiltonian, initial_state,
-                         mean_mode_invariants, nahm_residual, perturbation_forms,
-                         rho_hat_grid, run_flow, signed_triple, spectral_gradient,
-                         stability_field)
+                         derivative_matrix, fd4_gradient, flow_step, gradient_op, grid_d,
+                         hamiltonian, initial_state, mean_mode_invariants, nahm_residual,
+                         perturbation_forms, rho_hat_grid, run_flow, signed_triple,
+                         spectral_gradient, stability_field)
 from gengeo.spin55 import StabilityError
+from gengeo.tables import form_tables
 
 N = 4
 
@@ -78,6 +80,51 @@ def test_grid_d_matches_analytic():
     assert np.allclose(out[dst], np.cos(X[0]), atol=1e-12)
     others = [k for k in range(16) if k != dst]
     assert np.max(np.abs(out[others])) < 1e-12
+
+
+def _tensordot_gradient(fields, n, method):
+    dmat = derivative_matrix(n, method)
+    axes = [fields.ndim - 5 + i for i in range(5)]
+    return np.stack([np.moveaxis(np.tensordot(dmat, fields, axes=([1], [a])), 0, a)
+                     for a in axes])
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("method", ["spectral", "fd4"])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_grid_d_matches_full_gradient_assembly(n, method, parity):
+    # n = 5 covers odd n; every n runs the last axis through the single-GEMM path
+    rng = np.random.default_rng(10 * n + parity)
+    fields = rng.normal(size=(16,) + (n,) * 5)
+    grad = gradient_op(method)(fields, n)
+    assert np.max(np.abs(grad - _tensordot_gradient(fields, n, method))) <= 1e-13
+    ref = np.zeros((16,) + (n,) * 5)
+    for i, src, dst, sign in form_tables(5).ext[parity]:
+        ref[dst] += sign * grad[i, src]
+    assert np.max(np.abs(grid_d(fields, parity, n, method) - ref)) <= 1e-13
+
+
+def test_rk4_stages_receive_their_times(monkeypatch):
+    seen = []
+
+    def spy(rho1, rho2, floor=1e-6, t=0.0):
+        seen.append(t)
+        return rho_hat_grid(rho1, rho2, floor, t)
+
+    monkeypatch.setattr(flow, "rho_hat_grid", spy)
+    s = initial_state(small_cfg(dt=0.02))
+    s.t = 0.5
+    flow_step(s)
+    assert seen == pytest.approx([0.5, 0.51, 0.51, 0.52], abs=1e-15)
+
+
+def test_recorded_diagnostics_match_state_functions():
+    traj = run_flow(small_cfg(steps=3, ring=4))
+    states = traj.states()
+    assert [s.t for s in states] == [d["t"] for d in traj.diagnostics]
+    for s, entry in zip(states, traj.diagnostics):
+        assert entry["hamiltonian"] == hamiltonian(s)
+        assert entry["min_abs_f"] == float(np.min(np.abs(stability_field(s.rho1, s.rho2))))
 
 
 def test_normal_form_fixed_point():
