@@ -479,13 +479,23 @@ def _write_csv(path: str, diagnostics: list[dict]) -> None:
 
 def sixdim_report(trajectory_path: str, z_text: str | None) -> Report:
     from .flow import Trajectory
-    from .sixdim import DEFAULT_Z_SWEEP, check_trajectory, parse_z_list
+    from .sixdim import DEFAULT_Z_SWEEP, SignatureError, check_trajectory, parse_z_list
 
     traj = Trajectory.load(trajectory_path)
     z_values = parse_z_list(z_text) if z_text else list(DEFAULT_Z_SWEEP)
-    rep = check_trajectory(traj, z_values, traj.config.method, traj.config.stability_floor)
     report = Report("sixdim-check",
                     {"trajectory": trajectory_path, "z": [str(z) for z in z_values]})
+    signature_anchor = "span{dt-section, v1, h, v2} has signature (2,2)"
+    # a violated invariant is a failed check (exit 1), not an input error
+    try:
+        rep = check_trajectory(traj, z_values, traj.config.method, traj.config.stability_floor)
+    except StabilityError as e:
+        report.add("stability", "f != 0 with a constant orbit sign at every node",
+                   exact_zero=False, residual=str(e))
+        return report
+    except SignatureError as e:
+        report.add("gram-signature", signature_anchor, residual=str(e), passed=False)
+        return report
     tol = 1e-10
     for z in rep.z_values:
         report.add(f"annihilator-v[z={z}]", "v(z).sigma(z) = 0",
@@ -500,7 +510,7 @@ def sixdim_report(trajectory_path: str, z_text: str | None) -> Report:
             report.add(f"isotropy[z={z}]",
                        "(v,v) = (v,w) = (w,w) = 0 with (u,u) = 2 and (dt-section)^2 = -2",
                        residual=iso, passed=iso < tol)
-    report.add("gram-signature", "span{dt-section, v1, h, v2} has signature (2,2)",
+    report.add("gram-signature", signature_anchor,
                residual=str(rep.signature), passed=rep.signature[:2] == (2, 2))
     report.extra["dsigma"] = rep.dsigma
     report.extra["bracket_residuals"] = {z: rep.ez[z].bracket_residual for z in rep.ez}

@@ -69,22 +69,48 @@ class FlowConfig:
         return FlowConfig(**kwargs)
 
 
+def lattice_cell_volume(n: int) -> float:
+    """Volume of one cell of the N^5 lattice over [0, 2pi)^5."""
+    return (2 * np.pi / n) ** DIM
+
+
+@dataclass
+class SpinMemo:
+    """The z-independent spin fields of one state at one stability floor.
+
+    Filled by ``sixdim`` and reused for every spectral parameter z: the hat
+    pair, the signed triple (v1, h, v2) and, once asked for, the Gram
+    signature of span{d/dt - 2dt, v1, h, v2}.
+    """
+
+    floor: float
+    hat1: np.ndarray
+    hat2: np.ndarray
+    triple: tuple[np.ndarray, np.ndarray, np.ndarray]
+    signature: tuple[int, int, int] | None = None
+
+
 @dataclass
 class GridState:
-    """Sampled rho on the periodic lattice: arrays of shape (16, n,...,n)."""
+    """Sampled rho on the periodic lattice: arrays of shape (16, n,...,n).
+
+    ``spin`` holds the memoized spin fields once ``sixdim`` has evaluated
+    them; rho1 and rho2 are then read-only, so the memo cannot go stale.
+    """
 
     n: int
     rho1: np.ndarray
     rho2: np.ndarray
     t: float
     dt: float
+    spin: SpinMemo | None = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> "GridState":
         return GridState(self.n, self.rho1.copy(), self.rho2.copy(), self.t, self.dt)
 
     @property
     def cell_volume(self) -> float:
-        return (2 * np.pi / self.n) ** DIM
+        return lattice_cell_volume(self.n)
 
 
 # -- derivatives ---------------------------------------------------------------
@@ -154,9 +180,13 @@ def fd4_gradient(fields: np.ndarray, n: int) -> np.ndarray:
     return _gradient(fields, n, "fd4")
 
 
-def _gradient(fields: np.ndarray, n: int, method: str) -> np.ndarray:
+def _gradient(fields: np.ndarray, n: int, method: str,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of shape (5,) + fields.shape, written into ``out`` if given
+    (C-contiguous, as for ``_axis_derivative``)."""
     dmat = derivative_matrix(n, method)
-    out = np.empty((DIM,) + fields.shape, dtype=np.float64)
+    if out is None:
+        out = np.empty((DIM,) + fields.shape, dtype=np.float64)
     for i in range(DIM):
         _axis_derivative(fields, fields.ndim - DIM + i, dmat, out[i])
     return out
@@ -193,14 +223,18 @@ def stability_field(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
     return section_inner(qt.q_apply(rho1), qt.q_apply(rho2), DIM)
 
 
+def _node(flat_index: int, shape: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(int(i) for i in np.unravel_index(flat_index, shape))
+
+
 def _check_stability(f: np.ndarray, floor: float, t: float) -> int:
     fmin = float(np.min(np.abs(f)))
     if fmin <= floor:
-        node = np.unravel_index(int(np.argmin(np.abs(f))), f.shape)
+        node = _node(int(np.argmin(np.abs(f))), f.shape)
         raise StabilityError(f"stability lost at t={t:.6g}: |f|={fmin:.3e} at node {node}")
     signs = np.sign(f)
     if signs.max() != signs.min():
-        node = np.unravel_index(int(np.argmax(signs != signs.flat[0])), f.shape)
+        node = _node(int(np.argmax(signs != signs.flat[0])), f.shape)
         raise StabilityError(f"orbit sign flip at t={t:.6g}, node {node}")
     return int(signs.flat[0])
 
@@ -381,16 +415,29 @@ class Trajectory:
 
     @staticmethod
     def load(path: str) -> "Trajectory":
-        data = np.load(path, allow_pickle=False)
-        config = FlowConfig.from_json_obj(json.loads(str(data["config"])))
-        traj = Trajectory(config=config, diagnostics=json.loads(str(data["diagnostics"])))
-        times = data["times"]
-        for i in range(len(times)):
-            traj.ring.append(GridState(int(data["n"]), data["rho1"][i], data["rho2"][i],
-                                       float(times[i]), float(data["dt"])))
-        if traj.ring:
-            traj.initial = traj.ring[0]
-            traj.final = traj.ring[-1]
+        """Read a saved ring; raises ValueError if its arrays do not fit together."""
+        # every npz access decompresses the member again: read each one once
+        with np.load(path, allow_pickle=False) as data:
+            config = FlowConfig.from_json_obj(json.loads(str(data["config"])))
+            diagnostics = json.loads(str(data["diagnostics"]))
+            n, dt = int(data["n"]), float(data["dt"])
+            times, rho1, rho2 = data["times"], data["rho1"], data["rho2"]
+        if n != config.n:
+            raise ValueError(f"trajectory has n={n} but its config has N={config.n}")
+        if times.ndim != 1 or len(times) < 1:
+            raise ValueError(f"trajectory times must be a non-empty list, got shape {times.shape}")
+        shape = (len(times), N_COEFF) + (n,) * DIM
+        for name, arr in (("rho1", rho1), ("rho2", rho2)):
+            if arr.shape != shape:
+                raise ValueError(f"trajectory {name} has shape {arr.shape}, expected {shape}")
+        steps = np.diff(times)
+        if not np.all(np.isclose(steps, steps[:1])):
+            raise ValueError("trajectory states are not uniformly spaced in time")
+        traj = Trajectory(config=config, diagnostics=diagnostics)
+        for i, t in enumerate(times):
+            traj.ring.append(GridState(n, rho1[i], rho2[i], float(t), dt))
+        traj.initial = traj.ring[0]
+        traj.final = traj.ring[-1]
         return traj
 
 

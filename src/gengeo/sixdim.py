@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .flow import (GridState, Trajectory, courant_bracket_grid, gradient_op, grid_d,
-                   grid_norm, lambda_field, rho_hat_grid, signed_triple)
+from .flow import (GridState, SpinMemo, Trajectory, _gradient, courant_bracket_grid, grid_d,
+                   grid_norm, lambda_field, lattice_cell_volume, rho_hat_grid, signed_triple)
 from .tables import form_tables, section_inner
 
 DIM = 5
@@ -91,39 +91,71 @@ class SigmaSlice:
     sigma: np.ndarray   # (32, grid) even 6-chart form
     v_z: np.ndarray     # (12, grid)
     w_z: np.ndarray     # (12, grid)
-    rho_z: np.ndarray   # (16, grid) spatial even
-    hat_z: np.ndarray   # (16, grid) spatial odd
     triple: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
-    def cell_volume(self) -> float:
-        return (2 * np.pi / self.n) ** DIM
+    def rho_z(self) -> np.ndarray:
+        """(16, grid) spatial even part of sigma, read back as a copy."""
+        return self.sigma[_index_maps()["even5_even6"]]
+
+    @property
+    def hat_z(self) -> np.ndarray:
+        """(16, grid) spatial odd form with sigma = dt ^ hat_z + rho_z, as a copy."""
+        return self.sigma[_index_maps()["odd5_dt_even6"]]
+
+
+def _spin_memo(state: GridState, floor: float) -> SpinMemo:
+    """The state's z-independent hat pair and signed triple, evaluated once per floor.
+
+    Once memoized, the state's rho1/rho2 and the memo arrays are read-only,
+    so an in-place write raises instead of leaving a stale memo.
+    """
+    memo = state.spin
+    if memo is None or memo.floor != floor:
+        hat = rho_hat_grid(state.rho1, state.rho2, floor, state.t)
+        v1, h, v2, _, _ = signed_triple(state.rho1, state.rho2, floor, state.t)
+        memo = SpinMemo(floor, hat.hat1, hat.hat2, (v1, h, v2))
+        for arr in (state.rho1, state.rho2, memo.hat1, memo.hat2, v1, h, v2):
+            arr.flags.writeable = False
+        state.spin = memo
+    return memo
+
+
+def _states(source: Trajectory | Sequence[GridState]) -> list[GridState]:
+    states = source.states() if isinstance(source, Trajectory) else list(source)
+    if not states:
+        raise ValueError("no states to build sigma from")
+    return states
 
 
 def build_sigma(source: Trajectory | Sequence[GridState], z: ZValue,
                 floor: float = 1e-6) -> list[SigmaSlice]:
-    """Assemble sigma(z) slices (one per stored state) from a trajectory."""
-    states = source.states() if isinstance(source, Trajectory) else list(source)
-    if not states:
-        raise ValueError("no states to build sigma from")
+    """Assemble sigma(z) slices (one per stored state) from a trajectory.
+
+    rho_hat and the signed triple do not depend on z, so each state
+    evaluates them once and keeps them in its ``spin`` memo for every later
+    z and floor-matching call.  From then on the state's rho1/rho2 (and the
+    memo arrays a slice's ``triple`` refers to) are read-only; copy a state
+    to modify it.
+    """
     slices = []
-    for state in states:
-        hat = rho_hat_grid(state.rho1, state.rho2, floor, state.t)
-        v1, h, v2, _, _ = signed_triple(state.rho1, state.rho2, floor, state.t)
+    for state in _states(source):
+        memo = _spin_memo(state, floor)
+        v1, h, v2 = memo.triple
         if z == "inf":
             rho_z = state.rho2
-            hat_z = hat.hat2
+            hat_z = memo.hat2
             v_z = v2
             u_z = 2 * h
         elif z == 0:
             rho_z = state.rho1
-            hat_z = hat.hat1
+            hat_z = memo.hat1
             v_z = v1
             u_z = -2 * h
         else:
             zf = float(z)
             rho_z = state.rho1 + zf * state.rho2
-            hat_z = hat.hat1 + zf * hat.hat2
+            hat_z = memo.hat1 + zf * memo.hat2
             v_z = v1 + (2 * zf) * h + (zf * zf) * v2
             u_z = (1.0 / zf) * v1 - zf * v2
         w_z = -_section_to_6d(u_z)
@@ -132,8 +164,7 @@ def build_sigma(source: Trajectory | Sequence[GridState], z: ZValue,
         slices.append(SigmaSlice(
             z=z, t=state.t, n=state.n,
             sigma=_assemble_sigma(rho_z, hat_z),
-            v_z=_section_to_6d(v_z), w_z=w_z,
-            rho_z=rho_z, hat_z=hat_z, triple=(v1, h, v2),
+            v_z=_section_to_6d(v_z), w_z=w_z, triple=memo.triple,
         ))
     return slices
 
@@ -173,13 +204,21 @@ def annihilator_nullity(s: SigmaSlice, max_nodes: int = 64) -> int:
     return int(nullity.min())
 
 
+class SignatureError(ValueError):
+    """The Gram signature of span{d/dt - 2dt, v1, h, v2} varies across nodes."""
+
+
 def gram_signature(s: SigmaSlice) -> tuple[int, int, int]:
     """Pointwise signature of the span {d/dt - 2dt, v1, h, v2} over the z-sweep.
 
     Returns (positive, negative, zero) eigenvalue counts, uniform over
-    nodes; raises if the counts vary across the grid.
+    nodes; raises SignatureError if the counts vary across the grid.
     """
-    v1, h, v2 = (_section_to_6d(x) for x in s.triple)
+    return _triple_signature(s.triple)
+
+
+def _triple_signature(triple: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[int, int, int]:
+    v1, h, v2 = (_section_to_6d(x) for x in triple)
     w0 = np.zeros_like(v1)
     w0[0] += 1.0
     w0[DIM6] += -2.0
@@ -194,7 +233,7 @@ def gram_signature(s: SigmaSlice) -> tuple[int, int, int]:
     pos = (eig > 1e-9 * scale).sum(axis=1)
     neg = (eig < -1e-9 * scale).sum(axis=1)
     if pos.max() != pos.min() or neg.max() != neg.min():
-        raise ValueError("signature varies across nodes")
+        raise SignatureError("signature varies across nodes")
     p, q = int(pos[0]), int(neg[0])
     return p, q, 4 - p - q
 
@@ -213,14 +252,13 @@ def courant_bracket_6d(u_slices: Sequence[np.ndarray], v_slices: Sequence[np.nda
     Sections are (12, grid) per slice; the time axis enters through central
     differences of the slice sequence, the spatial axes spectrally.
     """
-    grad = gradient_op(method)
     u, v = u_slices[1], v_slices[1]
     du = np.empty((DIM6,) + u.shape)
     dv = np.empty((DIM6,) + v.shape)
     du[0] = _time_derivative(u_slices, dt)
     dv[0] = _time_derivative(v_slices, dt)
-    du[1:] = grad(u, n)
-    dv[1:] = grad(v, n)
+    _gradient(u, n, method, out=du[1:])
+    _gradient(v, n, method, out=dv[1:])
 
     out = np.zeros_like(u)
     xu, xv = u[:DIM6], v[:DIM6]
@@ -231,7 +269,7 @@ def courant_bracket_6d(u_slices: Sequence[np.ndarray], v_slices: Sequence[np.nda
     dpairing = np.empty((DIM6,) + pairing.shape)
     dpairing[0] = _time_derivative([np.sum(us[:DIM6] * vs[DIM6:] - vs[:DIM6] * us[DIM6:], axis=0)
                                     for us, vs in zip(u_slices, v_slices)], dt)
-    dpairing[1:] = grad(pairing, n)
+    _gradient(pairing, n, method, out=dpairing[1:])
     for b in range(DIM6):
         acc_v = out[b]
         acc_f = out[DIM6 + b]
@@ -299,7 +337,7 @@ def ez_check(slices: Sequence[SigmaSlice], method: str = "spectral") -> EzReport
         ww_max=float(np.max(np.abs(ww))),
         uu_minus_two_max=float(np.max(np.abs(uu - 2.0))),
         dt_section_norm_plus_two=float(np.max(np.abs(dtdt + 2.0))),
-        bracket_residual=grid_norm(residual, mid.cell_volume),
+        bracket_residual=grid_norm(residual, lattice_cell_volume(mid.n)),
         lambda_max=float(np.max(np.abs(lam5))),
     )
 
@@ -316,15 +354,16 @@ def dsigma_residual(slices: Sequence[SigmaSlice], method: str = "spectral") -> f
     dt = mid.t - prev.t
     maps = _index_maps()
     ft6 = form_tables(DIM6)
-    spatial = grid_d(mid.rho_z, 0, mid.n, method)
-    dt_part = _time_derivative([s.rho_z for s in (prev, mid, nxt)], dt)
+    rho = [s.rho_z for s in (prev, mid, nxt)]
+    spatial = grid_d(rho[1], 0, mid.n, method)
+    dt_part = _time_derivative(rho, dt)
     dt_part -= grid_d(mid.hat_z, 1, mid.n, method)
-    residual = np.zeros((ft6.n_odd,) + mid.rho_z.shape[1:])
+    residual = np.zeros((ft6.n_odd,) + mid.sigma.shape[1:])
     for src, dst in enumerate(maps["odd5_odd6"]):
         residual[dst] += spatial[src]
     for src, dst in enumerate(maps["even5_dt_odd6"]):
         residual[dst] += dt_part[src]
-    return grid_norm(residual, mid.cell_volume)
+    return grid_norm(residual, lattice_cell_volume(mid.n))
 
 
 @dataclass
@@ -345,16 +384,27 @@ class SixdimReport:
 def check_trajectory(source: Trajectory | Sequence[GridState],
                      z_values: Sequence[ZValue] = DEFAULT_Z_SWEEP,
                      method: str = "spectral", floor: float = 1e-6) -> SixdimReport:
-    """Run annihilator, isotropy/integrability, d sigma and signature checks."""
+    """Run annihilator, isotropy/integrability, d sigma and signature checks.
+
+    The z-independent fields, the signature included, are memoized on the
+    states (see ``build_sigma``), so repeated calls on one trajectory
+    evaluate them once; the states' rho1/rho2 become read-only.
+    """
+    states = _states(source)
     ann_v: dict[str, float] = {}
     ann_w: dict[str, float] = {}
     nullity: dict[str, int] = {}
     ez: dict[str, EzReport] = {}
     dsig: dict[str, float] = {}
     signature = None
+    if z_values:
+        first = _spin_memo(states[0], floor)
+        if first.signature is None:
+            first.signature = _triple_signature(first.triple)
+        signature = first.signature
     for z in z_values:
         key = str(z)
-        slices = build_sigma(source, z, floor)
+        slices = build_sigma(states, z, floor)
         checks = [annihilator_check(s) for s in slices]
         ann_v[key] = max(c[0] for c in checks)
         ann_w[key] = max(c[1] for c in checks)
@@ -362,8 +412,6 @@ def check_trajectory(source: Trajectory | Sequence[GridState],
         if len(slices) >= 3:
             ez[key] = ez_check(slices, method)
             dsig[key] = dsigma_residual(slices, method)
-        if signature is None:
-            signature = gram_signature(slices[0])
     return SixdimReport(
         z_values=[str(z) for z in z_values],
         annihilator_v=ann_v,

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gengeo import io as gio
@@ -136,6 +137,52 @@ def test_sixdim_check_uses_trajectory_method_and_floor(tmp_path, monkeypatch):
     assert seen == [("fd4", 1e-3)]
     # fd4 data under fd4 d: 5.8e-4; under the spectral d it would read 6.5e-2
     assert read(out)["dsigma"]["1"] < 1e-2
+
+
+def _flow_trajectory(tmp_path, **config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4, "dt": 0.02, "steps": 2, "epsilon": 0.01, **config}))
+    traj = tmp_path / "traj.npz"
+    assert run_cli(["flow", "run", "--config", str(cfg), "--out", str(tmp_path / "flow.json"),
+                    "--trajectory", str(traj)]) == 0
+    return traj
+
+
+def test_sixdim_check_violated_invariants_exit_1(tmp_path, monkeypatch):
+    from gengeo import sixdim
+
+    traj = _flow_trajectory(tmp_path)
+    with np.load(traj) as data:
+        members = {key: data[key] for key in data.files}
+    members["rho1"] = members["rho2"]          # f = (Q, Q) = 0 at every node
+    unstable = tmp_path / "unstable.npz"
+    np.savez_compressed(unstable, **members)
+    out = tmp_path / "six.json"
+    assert run_cli(["sixdim", "check", "--trajectory", str(unstable), "--z", "1",
+                    "--out", str(out)]) == 1
+    checks = read(out)["checks"]
+    assert [c["id"] for c in checks] == ["stability"]
+    assert not checks[0]["passed"] and "stability lost at t=0" in checks[0]["residual"]
+
+    def varies(triple):
+        raise sixdim.SignatureError("signature varies across nodes")
+
+    monkeypatch.setattr(sixdim, "_triple_signature", varies)
+    assert run_cli(["sixdim", "check", "--trajectory", str(traj), "--z", "1",
+                    "--out", str(out)]) == 1
+    checks = read(out)["checks"]
+    assert [(c["id"], c["passed"], c["residual"]) for c in checks] == [
+        ("gram-signature", False, "signature varies across nodes")]
+
+
+def test_sixdim_check_malformed_trajectory_exit_2(tmp_path):
+    traj = _flow_trajectory(tmp_path)
+    with np.load(traj) as data:
+        members = {key: data[key] for key in data.files}
+    members["n"] = np.array(5)                 # N=5 over 4^5 arrays
+    bad = tmp_path / "bad.npz"
+    np.savez_compressed(bad, **members)
+    assert run_cli(["sixdim", "check", "--trajectory", str(bad)]) == 2
 
 
 def test_input_errors_exit_2(tmp_path):

@@ -263,3 +263,55 @@ def test_orbit_sign_flip_detected():
 
     with pytest.raises(StabilityError):
         _check_stability(f, 1e-6, 0.0)
+
+
+@pytest.mark.parametrize("method", ["spectral", "fd4"])
+def test_gradient_out_matches_allocating_path(method):
+    rng = np.random.default_rng(3)
+    fields = rng.standard_normal((3,) + (5,) * 5)
+    expected = flow._gradient(fields, 5, method)
+    buf = np.full((6,) + fields.shape, np.nan)
+    got = flow._gradient(fields, 5, method, out=buf[1:])
+    assert np.shares_memory(got, buf)
+    assert np.array_equal(buf[1:], expected)
+    assert np.isnan(buf[0]).all()
+
+
+def test_stability_messages_print_plain_int_nodes():
+    f = np.ones((2,) * 5)
+    f[0, 1, 0, 0, 1] = 1e-9
+    with pytest.raises(StabilityError, match=r"at node \(0, 1, 0, 0, 1\)$"):
+        flow._check_stability(f, 1e-6, 0.0)
+    f[0, 1, 0, 0, 1] = -1.0
+    with pytest.raises(StabilityError, match=r"node \(0, 1, 0, 0, 1\)$"):
+        flow._check_stability(f, 1e-6, 0.0)
+
+
+def _resave(src, dst, **changes):
+    with np.load(src) as data:
+        members = {key: data[key] for key in data.files}
+    members.update(changes)
+    np.savez_compressed(dst, **members)
+
+
+def test_trajectory_load_validates_shapes_and_times(tmp_path):
+    traj = run_flow(small_cfg(steps=3, ring=3))
+    path = str(tmp_path / "traj.npz")
+    traj.save(path)
+    with np.load(path) as data:
+        rho1, rho2, times = data["rho1"], data["rho2"], data["times"]
+    bad = str(tmp_path / "bad.npz")
+    cases = [
+        ({"n": 5}, "n=5"),                              # N=5 over 4^5 arrays
+        ({"rho2": rho2[:2]}, "rho2 has shape"),
+        ({"rho1": rho1[..., :3]}, "rho1 has shape"),
+        ({"times": times[:0], "rho1": rho1[:0], "rho2": rho2[:0]}, "non-empty"),
+        ({"times": times * np.array([1.0, 1.0, 1.5])}, "uniformly spaced"),
+    ]
+    for changes, message in cases:
+        _resave(path, bad, **changes)
+        with pytest.raises(ValueError, match=message):
+            Trajectory.load(bad)
+    back = Trajectory.load(path)
+    assert [s.t for s in back.states()] == list(times)
+    assert all(np.array_equal(a.rho2, b.rho2) for a, b in zip(back.states(), traj.states()))

@@ -3,10 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gengeo.flow import FlowConfig, run_flow
+from gengeo import sixdim
+from gengeo.flow import FlowConfig, run_flow, stability_field
 from gengeo.sixdim import (DEFAULT_Z_SWEEP, annihilator_check, annihilator_nullity,
                            build_sigma, check_trajectory, courant_bracket_6d,
                            dsigma_residual, ez_check, gram_signature, parse_z_list)
+from gengeo.spin55 import StabilityError
 
 N = 4
 
@@ -130,3 +132,66 @@ def test_courant_bracket_6d_time_term():
     assert np.allclose(out[7], (2.0 - 0.0) / (2 * dt))
     mask = [k for k in range(12) if k != 7]
     assert np.max(np.abs(out[mask])) < 1e-12
+
+
+def test_full_sweep_matches_fresh_per_z_calls():
+    traj = perturbed_traj()
+    full = check_trajectory(traj)
+    for z in DEFAULT_Z_SWEEP:
+        key = str(z)
+        # copies carry no memo, so each per-z report is evaluated from scratch
+        per = check_trajectory([s.copy() for s in traj.states()], [z])
+        assert per.annihilator_v[key] == full.annihilator_v[key]
+        assert per.annihilator_w[key] == full.annihilator_w[key]
+        assert per.nullity[key] == full.nullity[key]
+        assert per.ez[key] == full.ez[key]
+        assert per.dsigma[key] == full.dsigma[key]
+        assert per.signature == full.signature
+    assert check_trajectory(traj) == full
+
+
+def _count_spin_calls(monkeypatch):
+    calls = {"rho_hat_grid": 0, "signed_triple": 0}
+    for name in calls:
+        original = getattr(sixdim, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(sixdim, name, spy)
+    return calls
+
+
+def test_spin_fields_evaluated_once_per_state(monkeypatch):
+    traj = perturbed_traj()
+    states = traj.states()
+    calls = _count_spin_calls(monkeypatch)
+    check_trajectory(traj)
+    check_trajectory(traj, [Fraction(1)])
+    build_sigma(traj, "inf")
+    assert calls == {"rho_hat_grid": len(states), "signed_triple": len(states)}
+
+    # a different floor re-evaluates; one at or above min|f| still raises
+    floor = min(float(np.min(np.abs(stability_field(s.rho1, s.rho2)))) for s in states)
+    build_sigma(traj, Fraction(1), floor=floor / 2)
+    assert calls == {"rho_hat_grid": 2 * len(states), "signed_triple": 2 * len(states)}
+    with pytest.raises(StabilityError):
+        build_sigma(traj, Fraction(1), floor=floor)
+
+
+def test_memoized_state_is_read_only_and_copies_start_empty():
+    traj = perturbed_traj()
+    state = traj.states()[-1]
+    s = build_sigma(traj, Fraction(1))[-1]
+    assert state.spin is not None
+    with pytest.raises(ValueError, match="read-only"):
+        state.rho1[0] += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        s.triple[1][0] += 1.0
+    # the slice reads its spatial parts back from sigma
+    assert np.array_equal(s.rho_z, state.rho1 + state.rho2)
+    assert np.array_equal(s.hat_z, state.spin.hat1 + state.spin.hat2)
+    fresh = state.copy()
+    assert fresh.spin is None
+    fresh.rho1[0] += 1.0
