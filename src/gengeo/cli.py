@@ -395,13 +395,21 @@ def spin55_analyze(rho: RhoPair, points=None) -> Report:
         report.add("orbit", "a single orbit sign across the sample points",
                    exact_zero=False, residual="sign of f varies across points")
     if stability.all_stable and stability.orbit_sign is not None:
-        res = variational_residual(rho)
+        try:
+            res = variational_residual(rho)
+            triple = v_triple(rho)
+            commuting = commuting_triple_check(rho)
+        except StabilityError as e:
+            # f != 0 at the sample points but not wherever needed: a failed check (exit 1)
+            report.add("stability", "f != 0 wherever the analysis evaluates the pair",
+                       exact_zero=False, residual=str(e))
+            report.extra.update(payload)
+            return report
         payload["residuals"] = {
             "d_rho": [not r.is_zero for r in res.d_rho],
             "d_rho_hat": [not r.is_zero for r in res.d_rho_hat_cleared],
             "critical": res.is_critical,
         }
-        triple = v_triple(rho)
         payload["triple"] = {
             "v1_dens": gio.gen_section_to_json(triple.v1_dens),
             "h_dens": gio.gen_section_to_json(triple.h_dens),
@@ -409,7 +417,6 @@ def spin55_analyze(rho: RhoPair, points=None) -> Report:
             "q": triple.q.to_json_obj(),
         }
         payload["gram"] = [[str(x) for x in row] for row in triple.gram]
-        commuting = commuting_triple_check(rho)
         payload["commuting"] = {
             "all_zero": commuting.all_zero,
             "brackets": {k: v.is_zero for k, v in commuting.bracket_residuals.items()},
@@ -481,7 +488,12 @@ def sixdim_report(trajectory_path: str, z_text: str | None) -> Report:
     from .flow import Trajectory
     from .sixdim import DEFAULT_Z_SWEEP, SignatureError, check_trajectory, parse_z_list
 
-    traj = Trajectory.load(trajectory_path)
+    try:
+        traj = Trajectory.load(trajectory_path)
+    except FileNotFoundError:
+        raise gio.InputError(f"{trajectory_path}: no such file") from None
+    except KeyError as e:      # a missing npz member; the message names it
+        raise gio.InputError(f"{trajectory_path}: {e.args[0]}") from None
     z_values = parse_z_list(z_text) if z_text else list(DEFAULT_Z_SWEEP)
     report = Report("sixdim-check",
                     {"trajectory": trajectory_path, "z": [str(z) for z in z_values]})

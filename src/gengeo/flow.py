@@ -80,7 +80,8 @@ class SpinMemo:
 
     Filled by ``sixdim`` and reused for every spectral parameter z: the hat
     pair, the signed triple (v1, h, v2) and, once asked for, the Gram
-    signature of span{d/dt - 2dt, v1, h, v2}.
+    signature of span{d/dt - 2dt, v1, h, v2} and, per derivative method,
+    the multiplier lambda of the 5-d bracket [v1, v2].
     """
 
     floor: float
@@ -88,6 +89,7 @@ class SpinMemo:
     hat2: np.ndarray
     triple: tuple[np.ndarray, np.ndarray, np.ndarray]
     signature: tuple[int, int, int] | None = None
+    lambdas: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass
@@ -149,20 +151,18 @@ def derivative_matrix(n: int, method: str) -> np.ndarray:
 
 
 def _axis_derivative(fields: np.ndarray, axis: int, dmat: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray) -> np.ndarray:
     """Apply dmat along one axis as a (pre, n, post) contraction.
 
     The batched matmul issues one dgemm per pre-slice.  On the last axis
     (post = 1) those would be pre separate matvecs, so it runs as a single
-    (pre, n) @ dmat.T GEMM instead.  A given ``out`` must be C-contiguous:
-    it is written through reshaped views.
+    (pre, n) @ dmat.T GEMM instead.  ``out`` must be C-contiguous: it is
+    written through reshaped views.
     """
     shape = fields.shape
     n = shape[axis]
     pre = int(np.prod(shape[:axis], dtype=np.int64))
     post = int(np.prod(shape[axis + 1:], dtype=np.int64))
-    if out is None:
-        out = np.empty(shape, dtype=np.float64)
     if post == 1:
         np.matmul(fields.reshape(pre, n), dmat.T, out=out.reshape(pre, n))
     else:
@@ -197,13 +197,11 @@ def gradient_op(method: str) -> Callable[[np.ndarray, int], np.ndarray]:
 
 
 def grid_d(fields: np.ndarray, parity: int, n: int, method: str = "spectral") -> np.ndarray:
-    """Exterior derivative of a sampled form (leading axis = component)."""
-    tables = form_tables(DIM)
+    """Exterior derivative of a sampled form (leading axis = component); each
+    (axis, src) derivative goes straight into its d-component (FormTables.d_apply)."""
     dmat = derivative_matrix(n, method)
-    first = fields.ndim - DIM
-    blocks = [_axis_derivative(fields[sources], first + i, dmat)
-              for i, sources in enumerate(tables.ext_sources[parity])]
-    return tables.d_apply(blocks, parity)
+    return form_tables(DIM).d_apply(fields, parity, lambda comp, i, out: _axis_derivative(
+        comp, comp.ndim - DIM + i, dmat, out))
 
 
 # -- pointwise spin geometry on the grid -----------------------------------------

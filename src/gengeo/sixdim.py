@@ -91,7 +91,11 @@ class SigmaSlice:
     sigma: np.ndarray   # (32, grid) even 6-chart form
     v_z: np.ndarray     # (12, grid)
     w_z: np.ndarray     # (12, grid)
-    triple: tuple[np.ndarray, np.ndarray, np.ndarray]
+    spin: SpinMemo      # the state's z-independent fields
+
+    @property
+    def triple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.spin.triple
 
     @property
     def rho_z(self) -> np.ndarray:
@@ -164,7 +168,7 @@ def build_sigma(source: Trajectory | Sequence[GridState], z: ZValue,
         slices.append(SigmaSlice(
             z=z, t=state.t, n=state.n,
             sigma=_assemble_sigma(rho_z, hat_z),
-            v_z=_section_to_6d(v_z), w_z=w_z, triple=memo.triple,
+            v_z=_section_to_6d(v_z), w_z=w_z, spin=memo,
         ))
     return slices
 
@@ -310,6 +314,15 @@ def ez_check(slices: Sequence[SigmaSlice], method: str = "spectral") -> EzReport
     if dt <= 0 or not np.isclose(nxt.t - mid.t, dt):
         raise ValueError("slices are not uniformly spaced in time")
 
+    # lambda of the 5-d [v1, v2] is z-independent: once per state and method, and
+    # first, so that the kept array is not allocated amid this call's temporaries
+    lam5 = mid.spin.lambdas.get(method)
+    if lam5 is None:
+        v1m, hm, v2m = mid.triple
+        lam5 = lambda_field(hm, courant_bracket_grid(v1m, v2m, mid.n, method))
+        lam5.flags.writeable = False    # read-only like the other memo arrays
+        mid.spin.lambdas[method] = lam5
+
     vv = section_inner(mid.v_z, mid.v_z, DIM6)
     vw = section_inner(mid.v_z, mid.w_z, DIM6)
     ww = section_inner(mid.w_z, mid.w_z, DIM6)
@@ -322,10 +335,6 @@ def ez_check(slices: Sequence[SigmaSlice], method: str = "spectral") -> EzReport
     dt_sec[0] += 1.0
     dt_sec[DIM6] += -2.0
     dtdt = section_inner(dt_sec, dt_sec, DIM6)
-
-    v1m, hm, v2m = mid.triple
-    br = courant_bracket_grid(v1m, v2m, mid.n, method)
-    lam5 = lambda_field(hm, br)
     bracket = courant_bracket_6d([s.w_z for s in (prev, mid, nxt)],
                                  [s.v_z for s in (prev, mid, nxt)], mid.n, dt, method)
     residual = bracket - lam5 * mid.v_z

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -66,17 +66,6 @@ class FormTables:
                     for out_idx, coeff in out.terms.items():
                         _, dst = self.pos[out_idx]
                         self.ext[parity].append((i, src, dst, int(coeff.constant_value())))
-        # Grid d differentiates only the (axis, src) pairs ext reads: per
-        # parity, the sources of each axis, and ext re-indexed into the
-        # per-axis derivative blocks as (axis, row, dst, sign).
-        self.ext_sources: dict[int, list[list[int]]] = {}
-        self.ext_blocks: dict[int, list[Entry]] = {}
-        for parity, entries in self.ext.items():
-            sources = [sorted({src for i, src, _, _ in entries if i == axis})
-                       for axis in range(dim)]
-            self.ext_sources[parity] = sources
-            self.ext_blocks[parity] = [(i, sources[i].index(src), dst, sign)
-                                       for i, src, dst, sign in entries]
 
         # Mukai pairing signs: <odd a, even b> and <even a, odd b> when the
         # index sets are complementary (only parity-mixed pairs survive in
@@ -117,15 +106,19 @@ class FormTables:
                 out -= a[i] * b[j]
         return out
 
-    def d_apply(self, blocks: Sequence[np.ndarray], parity: int) -> np.ndarray:
-        """Assemble d(form) from blocks[i][k] = d(form[ext_sources[parity][i][k]])/dx_i."""
+    def d_apply(self, form: np.ndarray, parity: int,
+                derivative: Callable[[np.ndarray, int, np.ndarray], object]) -> np.ndarray:
+        """d(form) in one pass over ext: derivative(form[src], i, term) writes each
+        d(form[src])/dx_i into one reusable buffer, added into out[dst] in ext order."""
         n_out = self.n_odd if parity == 0 else self.n_even
-        out = np.zeros((n_out,) + blocks[0].shape[1:], dtype=blocks[0].dtype)
-        for i, row, dst, sign in self.ext_blocks[parity]:
+        out = np.zeros((n_out,) + form.shape[1:], dtype=form.dtype)
+        term = np.empty(form.shape[1:], dtype=form.dtype)
+        for i, src, dst, sign in self.ext[parity]:
+            derivative(form[src], i, term)
             if sign == 1:
-                out[dst] += blocks[i][row]
+                out[dst] += term
             else:
-                out[dst] -= blocks[i][row]
+                out[dst] -= term
         return out
 
 

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion; the expensive N=8 flow runs are shared across criteria through
-module-scoped fixtures.
+module-scoped fixtures.  Criteria 9-11, which use them, are marked `slow`:
+`pytest -m "not slow"` skips them for a quick inner loop.
 """
 
 import math
@@ -280,6 +281,7 @@ def nahm_runs():
     return runs
 
 
+@pytest.mark.slow
 def test_criterion_09_flow(drift_runs):
     start = time.time()
     # fixed point
@@ -307,6 +309,7 @@ def test_criterion_09_flow(drift_runs):
            f"{drift:.1e} < 1e-10; runtime incl. the three runs {elapsed:.0f}s < 300s")
 
 
+@pytest.mark.slow
 def test_criterion_10_nahm_residual(nahm_runs):
     residuals = {}
     for dt, traj in nahm_runs.items():
@@ -327,6 +330,7 @@ def test_criterion_10_nahm_residual(nahm_runs):
            f"{fine.h_residual_lambda_hh2:.2e})")
 
 
+@pytest.mark.slow
 def test_criterion_11_sixdim(nahm_runs):
     z_sweep = (Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1),
                Fraction(2), Fraction(-2), Fraction(0), "inf")

@@ -185,6 +185,34 @@ def test_sixdim_check_malformed_trajectory_exit_2(tmp_path):
     assert run_cli(["sixdim", "check", "--trajectory", str(bad)]) == 2
 
 
+def test_sixdim_check_unreadable_trajectory_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.npz"
+    assert run_cli(["sixdim", "check", "--trajectory", str(missing)]) == 2
+    assert f"{missing}: no such file" in capsys.readouterr().err
+    no_config = tmp_path / "no_config.npz"
+    np.savez_compressed(no_config, n=np.array(4))
+    assert run_cli(["sixdim", "check", "--trajectory", str(no_config)]) == 2
+    err = capsys.readouterr().err
+    assert str(no_config) in err and "config" in err
+
+
+def test_spin55_analyze_late_stability_error_is_failed_check(tmp_path, monkeypatch):
+    from gengeo import cli
+    from gengeo.spin55 import StabilityError
+
+    def unstable(rho):
+        raise StabilityError("triple Gram entry is not a constant multiple of f")
+
+    monkeypatch.setattr(cli, "v_triple", unstable)
+    out = tmp_path / "r.json"
+    assert run_cli(["spin55", "analyze", "--normal-form", "--out", str(out)]) == 1
+    report = read(out)
+    assert [(c["id"], c["passed"]) for c in report["checks"]] == [
+        ("stable", True), ("stability", False)]
+    assert "not a constant multiple" in report["checks"][1]["residual"]
+    assert report["stable"] and "triple" not in report
+
+
 def test_input_errors_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,23 @@ def test_grid_d_matches_full_gradient_assembly(n, method, parity):
     for i, src, dst, sign in form_tables(5).ext[parity]:
         ref[dst] += sign * grad[i, src]
     assert np.max(np.abs(grid_d(fields, parity, n, method) - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("method", ["spectral", "fd4"])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_grid_d_allocates_its_output_and_one_component(n, method, parity):
+    # a gathered copy of the sources or per-axis derivative blocks would add
+    # 8 components or more to the peak
+    fields = np.random.default_rng(n + parity).normal(size=(16,) + (n,) * 5)
+    grid_d(fields, parity, n, method)             # warm the table and matrix caches
+    tracemalloc.start()
+    try:
+        out = grid_d(fields, parity, n, method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2 * fields[0].nbytes
 
 
 def test_rk4_stages_receive_their_times(monkeypatch):

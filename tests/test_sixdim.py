@@ -195,3 +195,28 @@ def test_memoized_state_is_read_only_and_copies_start_empty():
     fresh = state.copy()
     assert fresh.spin is None
     fresh.rho1[0] += 1.0
+
+
+def test_bracket_lambda_evaluated_once_per_state_and_method(monkeypatch):
+    traj = perturbed_traj()
+    calls = []
+    original = sixdim.courant_bracket_grid
+
+    def spy(u, v, n, method="spectral"):
+        calls.append(method)
+        return original(u, v, n, method)
+
+    monkeypatch.setattr(sixdim, "courant_bracket_grid", spy)
+    full = check_trajectory(traj)
+    assert check_trajectory(traj) == full
+    assert calls == ["spectral"]          # only the middle state's ez_check needs it
+    fd4 = check_trajectory(traj, [Fraction(1)], method="fd4")
+    check_trajectory(traj, [Fraction(-1)], method="fd4")
+    assert calls == ["spectral", "fd4"]
+    lam = traj.states()[-2].spin.lambdas["fd4"]
+    with pytest.raises(ValueError, match="read-only"):
+        lam[0] += 1.0
+    # a memoized fd4 report equals one evaluated from scratch on copies (the
+    # spectral sweep is compared in test_full_sweep_matches_fresh_per_z_calls)
+    fresh = check_trajectory([s.copy() for s in traj.states()], [Fraction(1)], method="fd4")
+    assert fresh == fd4
