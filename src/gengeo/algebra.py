@@ -42,7 +42,7 @@ class Chart:
             raise ValueError("coordinate name count must equal dim")
 
     def require_same(self, other: "Chart") -> None:
-        if self != other:
+        if self is not other and self != other:
             raise ChartMismatchError(f"chart mismatch: {self} vs {other}")
 
     def check_index(self, i: int) -> None:
@@ -86,6 +86,13 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _clean(chart: Chart, terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
+        """Wrap terms that already hold valid exponents and no zero coefficient."""
+        p = Polynomial.__new__(Polynomial)
+        p.chart, p.terms = chart, terms
+        return p
+
+    @staticmethod
     def zero(chart: Chart) -> "Polynomial":
         return Polynomial(chart)
 
@@ -120,9 +127,6 @@ class Polynomial:
                 return c
         return None
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
             return self.chart == other.chart and self.terms == other.terms
@@ -154,17 +158,12 @@ class Polynomial:
                 out[exps] = s
             elif acc is not None:
                 del out[exps]
-        p = Polynomial.__new__(Polynomial)
-        p.chart, p.terms = self.chart, out
-        return p
+        return Polynomial._clean(self.chart, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        p.chart = self.chart
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return Polynomial._clean(self.chart, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -173,7 +172,13 @@ class Polynomial:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other)
+        if not isinstance(other, Polynomial):
+            return self._scaled(as_fraction(other))
+        self.chart.require_same(other.chart)
+        for factor, const in ((self, other), (other, self)):
+            c = const.constant_value()      # a constant factor scales the other's terms
+            if c is not None:
+                return factor._scaled(c)
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -185,11 +190,18 @@ class Polynomial:
                     out[e] = s
                 elif acc is not None:
                     del out[e]
-        p = Polynomial.__new__(Polynomial)
-        p.chart, p.terms = self.chart, out
-        return p
+        return Polynomial._clean(self.chart, out)
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: Fraction) -> "Polynomial":
+        """c * self; exact, since a nonzero c times a nonzero term is nonzero."""
+        if c == -1:
+            return -self
+        if not c:
+            return Polynomial.zero(self.chart)
+        terms = dict(self.terms) if c == 1 else {e: v * c for e, v in self.terms.items()}
+        return Polynomial._clean(self.chart, terms)
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
@@ -215,9 +227,7 @@ class Polynomial:
                 e = list(exps)
                 e[i] = k - 1
                 out[tuple(e)] = c * k
-        p = Polynomial.__new__(Polynomial)
-        p.chart, p.terms = self.chart, out
-        return p
+        return Polynomial._clean(self.chart, out)
 
     def evaluate(self, point: Sequence[Rational]) -> Fraction:
         """Exact value at a rational point."""

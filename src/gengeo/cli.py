@@ -27,8 +27,8 @@ from .generalized import (GenSection, bfield_on_form, bfield_on_section, cliffor
 from . import io as gio
 from .metric import (GeneralizedMetric, christoffel_classical_at, connection_at,
                      coordinate_deltas, random_metric, torsion_check)
-from .spin55 import (RhoPair, StabilityError, commuting_triple_check, is_stable, normal_form,
-                     quartic_invariant, rho_hat, v_triple, variational_residual)
+from .spin55 import (PairAnalysis, RhoPair, StabilityError, commuting_triple_check, is_stable,
+                     normal_form, v_triple, variational_residual)
 from .twisted import (CoverData, CoverError, check_cocycle, glue_section,
                       globalize_with_curving, twisted_differential)
 
@@ -381,13 +381,13 @@ def twisted_suite(dim: int, cases: int, seed: int, cover_path: str | None = None
 
 
 def spin55_analyze(rho: RhoPair, points=None) -> Report:
-    stability = is_stable(rho, points)
+    pair = PairAnalysis(rho)    # every exact quantity of the pair, evaluated once
+    stability = is_stable(pair, points)
     report = Report("spin55-analyze", {"points": [list(map(str, p)) for p in stability.points]})
-    f = quartic_invariant(rho)
     payload: dict = {
         "stable": stability.all_stable,
         "orbit_sign": stability.orbit_sign,
-        "f": f.to_json_obj(),
+        "f": pair.f.to_json_obj(),
     }
     report.add("stable", "f(rho) != 0 at every sample point", exact_zero=stability.all_stable,
                residual="0" if stability.all_stable else "f vanishes at a sample point")
@@ -396,9 +396,9 @@ def spin55_analyze(rho: RhoPair, points=None) -> Report:
                    exact_zero=False, residual="sign of f varies across points")
     if stability.all_stable and stability.orbit_sign is not None:
         try:
-            res = variational_residual(rho)
-            triple = v_triple(rho)
-            commuting = commuting_triple_check(rho)
+            res = variational_residual(pair)
+            triple = v_triple(pair)
+            commuting = commuting_triple_check(pair)
         except StabilityError as e:
             # f != 0 at the sample points but not wherever needed: a failed check (exit 1)
             report.add("stability", "f != 0 wherever the analysis evaluates the pair",
@@ -492,8 +492,12 @@ def sixdim_report(trajectory_path: str, z_text: str | None) -> Report:
         traj = Trajectory.load(trajectory_path)
     except FileNotFoundError:
         raise gio.InputError(f"{trajectory_path}: no such file") from None
+    except IsADirectoryError:
+        raise gio.InputError(f"{trajectory_path}: is a directory") from None
     except KeyError as e:      # a missing npz member; the message names it
         raise gio.InputError(f"{trajectory_path}: {e.args[0]}") from None
+    except ValueError as e:    # malformed contents, e.g. a config that is not an object
+        raise gio.InputError(f"{trajectory_path}: {e}") from None
     z_values = parse_z_list(z_text) if z_text else list(DEFAULT_Z_SWEEP)
     report = Report("sixdim-check",
                     {"trajectory": trajectory_path, "z": [str(z) for z in z_values]})
@@ -617,7 +621,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "flow":
             from .flow import FlowConfig
 
-            config = FlowConfig.from_json_obj(gio.load_json(args.config))
+            obj = gio.load_json(args.config)
+            try:
+                config = FlowConfig.from_json_obj(obj)
+            except ValueError as e:
+                raise gio.InputError(f"{args.config}: {e}") from None
             return emit(flow_run_report(config, args.trajectory, args.csv), args.out)
         if args.command == "sixdim":
             return emit(sixdim_report(args.trajectory, args.z), args.out)

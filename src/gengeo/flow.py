@@ -57,6 +57,8 @@ class FlowConfig:
 
     @staticmethod
     def from_json_obj(obj: Mapping) -> "FlowConfig":
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"flow config must be a JSON object, got {type(obj).__name__}")
         kwargs = dict(obj)
         if "N" in kwargs:
             kwargs["n"] = kwargs.pop("N")
@@ -600,9 +602,6 @@ def nahm_residual(states: Sequence[GridState], method: str = "spectral",
 class MeanModeReport:
     max_drift: float
     per_step: list[float]
-
-    def within(self, tol: float) -> bool:
-        return self.max_drift < tol
 
 
 def mean_mode_invariants(traj: Trajectory) -> MeanModeReport:

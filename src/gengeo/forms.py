@@ -113,6 +113,22 @@ class VectorField:
         return " + ".join(parts) if parts else "0"
 
 
+def _accumulate(out: dict[Index, Polynomial], idx: Index, p: Polynomial) -> None:
+    """out[idx] += p, dropping the entry when the sum vanishes."""
+    acc = out.get(idx)
+    s = p if acc is None else acc + p
+    if s.is_zero:
+        out.pop(idx, None)
+    else:
+        out[idx] = s
+
+
+def _form(chart: Chart, terms: dict[Index, Polynomial]) -> MixedForm:
+    m = MixedForm.__new__(MixedForm)
+    m.chart, m.terms = chart, terms
+    return m
+
+
 class MixedForm:
     """Non-homogeneous form: {increasing index tuple -> Polynomial}."""
 
@@ -131,12 +147,7 @@ class MixedForm:
                 p = coeff if isinstance(coeff, Polynomial) else Polynomial.constant(chart, coeff)
                 chart.require_same(p.chart)
                 if not p.is_zero:
-                    acc = clean.get(idx)
-                    p = p if acc is None else acc + p
-                    if p.is_zero:
-                        clean.pop(idx, None)
-                    else:
-                        clean[idx] = p
+                    _accumulate(clean, idx, p)
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -187,28 +198,21 @@ class MixedForm:
         self.chart.require_same(other.chart)
         out = dict(self.terms)
         for idx, p in other.terms.items():
-            acc = out.get(idx)
-            s = p if acc is None else acc + p
-            if s.is_zero:
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        m = MixedForm.__new__(MixedForm)
-        m.chart, m.terms = self.chart, out
-        return m
+            _accumulate(out, idx, p)
+        return _form(self.chart, out)
 
     def __neg__(self) -> "MixedForm":
-        m = MixedForm.__new__(MixedForm)
-        m.chart = self.chart
-        m.terms = {i: -p for i, p in self.terms.items()}
-        return m
+        return _form(self.chart, {i: -p for i, p in self.terms.items()})
 
     def __sub__(self, other: "MixedForm") -> "MixedForm":
         return self + (-other)
 
     def scale(self, f: Polynomial | Rational) -> "MixedForm":
         f = f if isinstance(f, Polynomial) else Polynomial.constant(self.chart, f)
-        return MixedForm(self.chart, {i: f * p for i, p in self.terms.items()})
+        if f.is_zero:
+            return MixedForm(self.chart)
+        # a product of nonzero polynomials is nonzero: no term needs the checks of __init__
+        return _form(self.chart, {i: f * p for i, p in self.terms.items()})
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -230,53 +234,37 @@ def wedge(a: MixedForm, b: MixedForm) -> MixedForm:
     out: dict[Index, Polynomial] = {}
     for ia, pa in a.terms.items():
         for ib, pb in b.terms.items():
-            merged = merge_indices(ia, ib)
-            if merged is None:
-                continue
-            idx, sign = merged
-            p = pa * pb if sign > 0 else -(pa * pb)
-            acc = out.get(idx)
-            s = p if acc is None else acc + p
-            if s.is_zero:
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-    m = MixedForm.__new__(MixedForm)
-    m.chart, m.terms = a.chart, out
-    return m
+            merged = merge_indices(ia, ib)      # (index, sign), or None on a repeat
+            if merged is not None:
+                _accumulate(out, merged[0], pa * pb if merged[1] > 0 else -(pa * pb))
+    return _form(a.chart, out)
 
 
 def exterior_derivative(a: MixedForm) -> MixedForm:
     """d: raises each degree by one; d(d(a)) = 0."""
-    out = MixedForm.zero(a.chart)
+    out: dict[Index, Polynomial] = {}
     for idx, p in a.terms.items():
         for i in range(a.chart.dim):
+            if i in idx:
+                continue
             dp = p.differentiate(i)
-            if dp.is_zero:
-                continue
-            merged = merge_indices((i,), idx)
-            if merged is None:
-                continue
-            midx, sign = merged
-            out = out + MixedForm(a.chart, {midx: dp if sign > 0 else -dp})
-    return out
+            if not dp.is_zero:
+                midx, sign = merge_indices((i,), idx)
+                _accumulate(out, midx, dp if sign > 0 else -dp)
+    return _form(a.chart, out)
 
 
 def interior_product(x: VectorField, a: MixedForm) -> MixedForm:
     """i_X: antiderivation of degree -1."""
     x.chart.require_same(a.chart)
-    out = MixedForm.zero(a.chart)
+    out: dict[Index, Polynomial] = {}
     for idx, p in a.terms.items():
         for pos, i in enumerate(idx):
             comp = x.components[i]
-            if comp.is_zero:
-                continue
-            coeff = comp * p
-            if pos % 2:
-                coeff = -coeff
-            rest = idx[:pos] + idx[pos + 1:]
-            out = out + MixedForm(a.chart, {rest: coeff})
-    return out
+            if not comp.is_zero:
+                coeff = comp * p
+                _accumulate(out, idx[:pos] + idx[pos + 1:], -coeff if pos % 2 else coeff)
+    return _form(a.chart, out)
 
 
 def lie_derivative(x: VectorField, a: MixedForm) -> MixedForm:

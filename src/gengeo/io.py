@@ -28,6 +28,8 @@ def load_json(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file") from None
+    except IsADirectoryError:
+        raise InputError(f"{path}: is a directory") from None
     except json.JSONDecodeError as e:
         raise InputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
 

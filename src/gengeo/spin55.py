@@ -21,8 +21,9 @@ all rational, so the suites assert them exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .algebra import Chart, Polynomial, Rational
@@ -180,26 +181,6 @@ class StabilityReport:
         return signs.pop() if len(signs) == 1 else None
 
 
-def is_stable(rho: RhoPair, points: Sequence[Sequence[Rational]] | None = None) -> StabilityReport:
-    """f != 0 per point, with the sign of f as orbit discriminant."""
-    f = quartic_invariant(rho)
-    pts = [tuple(p) for p in (points or DEFAULT_PROBE_POINTS)]
-    values = [f.evaluate(p) for p in pts]
-    return StabilityReport(
-        points=pts,
-        values=values,
-        stable=[bool(v) for v in values],
-        orbit_signs=[(1 if v > 0 else -1 if v < 0 else 0) for v in values],
-    )
-
-
-def signed_quartic(rho: RhoPair) -> tuple[Polynomial, int]:
-    """(q, s) with q = s*f positive on the orbit; phi^2 = q."""
-    f = quartic_invariant(rho)
-    s = orbit_sign(rho, f)
-    return (f if s > 0 else -f), s
-
-
 def volume_density_poly(rho: RhoPair) -> Polynomial | None:
     """Exact polynomial phi with phi^2 = |f|, when one exists."""
     q, _ = signed_quartic(rho)
@@ -212,17 +193,6 @@ def volume_density_at(rho: RhoPair, point: Sequence[Rational]) -> float:
     if f == 0:
         raise StabilityError(f"unstable point {tuple(point)}: f = 0")
     return math.sqrt(abs(float(f)))
-
-
-def volume_density(rho: RhoPair, point: Sequence[Rational] | None = None):
-    """phi = |f|^(1/2): a float at a point, or the exact Polynomial when
-    |f| is a perfect square over Q (StabilityError otherwise)."""
-    if point is not None:
-        return volume_density_at(rho, point)
-    p = volume_density_poly(rho)
-    if p is None:
-        raise StabilityError("|f| has no polynomial square root; evaluate pointwise")
-    return p
 
 
 # -- the triple ---------------------------------------------------------------
@@ -245,28 +215,6 @@ class VTriple:
     orbit_sign: int
     gram: tuple[tuple[Fraction, ...], ...]
 
-    def signed_dens(self) -> tuple[GenSection, GenSection, GenSection]:
-        """The s-signed densitized triple (s*Q1, s*P, s*Q2).
-
-        The six-dimensional identities (u(z), w(z), the evolution-equation
-        component signs) hold verbatim for this normalization.
-        """
-        s = self.orbit_sign
-        return (self.v1_dens.scale(s), self.h_dens.scale(s), self.v2_dens.scale(s))
-
-    def normalized_at(self, point: Sequence[Rational]) -> list[list[float]]:
-        """Float 10-vectors [X^1..X^5, xi_1..xi_5] of v1, h, v2 at a point."""
-        qv = self.q.evaluate(point)
-        if qv <= 0:
-            raise StabilityError(f"unstable point {tuple(point)}")
-        phi = math.sqrt(float(qv))
-        out = []
-        for sec in (self.v1_dens, self.h_dens, self.v2_dens):
-            comps = [float(p.evaluate(point)) for p in sec.vector.components]
-            comps += [float(sec.oneform_component(i).evaluate(point)) for i in range(DIM)]
-            out.append([x / phi for x in comps])
-        return out
-
 
 def _constant_ratio(numerator: Polynomial, q: Polynomial) -> Fraction:
     if numerator.is_zero:
@@ -276,30 +224,6 @@ def _constant_ratio(numerator: Polynomial, q: Polynomial) -> Fraction:
     if value is None:
         raise StabilityError("triple Gram entry is not a constant multiple of f")
     return value
-
-
-def v_triple(rho: RhoPair) -> VTriple:
-    """Extract the triple and assert Gram constancy exactly.
-
-    The normalized Gram is (v1,v2) = s, (h,h) = -s/2, all other entries
-    zero; the entries are computed as exact rational ratios (Q_i,Q_j)/q.
-    """
-    q, s = signed_quartic(rho)
-    q1 = q_vector(rho.rho1)
-    q2 = q_vector(rho.rho2)
-    p12 = p_bilinear(rho.rho1, rho.rho2)
-    sections = (q1, p12, q2)
-    gram = tuple(
-        tuple(_constant_ratio(gv_inner(a, b), q) for b in sections) for a in sections
-    )
-    expected = (
-        (Fraction(0), Fraction(0), s * GRAM_V1V2),
-        (Fraction(0), s * GRAM_HH, Fraction(0)),
-        (s * GRAM_V1V2, Fraction(0), Fraction(0)),
-    )
-    if gram != expected:
-        raise StabilityError(f"unexpected triple Gram {gram}; convention constants violated")
-    return VTriple(q1, p12, q2, q, s, gram)
 
 
 # -- rho_hat ------------------------------------------------------------------
@@ -317,11 +241,8 @@ class RhoHat:
     def closedness_residuals(self) -> tuple[MixedForm, MixedForm]:
         """2q dm - dq ^ m for each component; zero iff d rho_hat = 0."""
         dq = exterior_derivative(MixedForm.function(self.q.chart, self.q))
-        out = []
-        for m in (self.m1, self.m2):
-            res = exterior_derivative(m).scale(self.q).scale(2) - wedge(dq, m)
-            out.append(res)
-        return out[0], out[1]
+        return tuple(exterior_derivative(m).scale(self.q).scale(2) - wedge(dq, m)
+                     for m in (self.m1, self.m2))
 
     @property
     def is_closed(self) -> bool:
@@ -338,34 +259,6 @@ class RhoHat:
                      for m in (self.m1, self.m2))
 
 
-def rho_hat(rho: RhoPair) -> RhoHat:
-    """Companion forms: rho_hat = s (v1.rho2, -v2.rho1), s fixed by <rho_hat1, rho2> = +phi.
-
-    Asserts the annihilations v1.rho1 = 0 and v2.rho2 = 0 first (they
-    characterize orbit membership), then the normalization, exactly:
-    <m1, rho2> = q and <m2, rho1> = -q.
-    """
-    q, s = signed_quartic(rho)
-    q1 = q_vector(rho.rho1)
-    q2 = q_vector(rho.rho2)
-    if not clifford_act(q1, rho.rho1).is_zero:
-        raise StabilityError("annihilation precondition violated: v1.rho1 != 0 (non-orbit input)")
-    if not clifford_act(q2, rho.rho2).is_zero:
-        raise StabilityError("annihilation precondition violated: v2.rho2 != 0 (non-orbit input)")
-    m1 = clifford_act(q1, rho.rho2).scale(s)
-    m2 = clifford_act(q2, rho.rho1).scale(-s)
-    if mukai_pairing(m1, rho.rho2) != q:
-        raise StabilityError("normalization failed: <rho_hat1, rho2> != phi")
-    if mukai_pairing(m2, rho.rho1) != -q:
-        raise StabilityError("normalization failed: <rho_hat2, rho1> != -phi")
-    return RhoHat(m1, m2, q, s)
-
-
-def skew_pairing(odd_pair: tuple[MixedForm, MixedForm], rho: RhoPair) -> Polynomial:
-    """<a1, rho2> - <a2, rho1>: the R^2-skew pairing used by the gradient."""
-    return mukai_pairing(odd_pair[0], rho.rho2) - mukai_pairing(odd_pair[1], rho.rho1)
-
-
 # -- variational residuals ----------------------------------------------------
 
 
@@ -379,16 +272,122 @@ class VariationalResidual:
         return all(f.is_zero for f in self.d_rho) and all(f.is_zero for f in self.d_rho_hat_cleared)
 
 
-def variational_residual(rho: RhoPair) -> VariationalResidual:
-    """(d rho, d rho_hat); both vanish exactly iff rho is a critical point.
+# -- one analysis per pair ---------------------------------------------------
 
-    The rho_hat residual is returned square-root-cleared (2q dm - dq ^ m).
+
+class PairAnalysis:
+    """The exact quantities of one pair, each evaluated at most once.
+
+    Q1 = Q(rho1), Q2 = Q(rho2) and f = (Q1, Q2) are computed on
+    construction; the signed quartic (q, s), P12 = P(rho1, rho2), rho_hat,
+    the triple and the variational residual on first use.  An evaluation
+    that raises StabilityError is not stored, so every later access raises
+    the same error.
     """
-    hat = rho_hat(rho)
-    return VariationalResidual(
-        d_rho=(exterior_derivative(rho.rho1), exterior_derivative(rho.rho2)),
-        d_rho_hat_cleared=hat.closedness_residuals(),
+
+    def __init__(self, rho: RhoPair):
+        self.rho = rho
+        self.q1 = q_vector(rho.rho1)
+        self.q2 = q_vector(rho.rho2)
+        self.f = gv_inner(self.q1, self.q2)
+
+    @cached_property
+    def signed(self) -> tuple[Polynomial, int]:
+        """(q, s) with q = s*f positive on the orbit; phi^2 = q."""
+        s = orbit_sign(self.rho, self.f)
+        return (self.f if s > 0 else -self.f), s
+
+    @cached_property
+    def p12(self) -> GenSection:
+        return p_bilinear(self.rho.rho1, self.rho.rho2)
+
+    @cached_property
+    def rho_hat(self) -> RhoHat:
+        """Companion forms: rho_hat = s (v1.rho2, -v2.rho1), s fixed by <rho_hat1, rho2> = +phi.
+
+        Asserts the annihilations v1.rho1 = 0 and v2.rho2 = 0 first (they
+        characterize orbit membership), then the normalization, exactly:
+        <m1, rho2> = q and <m2, rho1> = -q.
+        """
+        q, s = self.signed
+        rho = self.rho
+        if not clifford_act(self.q1, rho.rho1).is_zero:
+            raise StabilityError("annihilation precondition violated: v1.rho1 != 0 (non-orbit input)")
+        if not clifford_act(self.q2, rho.rho2).is_zero:
+            raise StabilityError("annihilation precondition violated: v2.rho2 != 0 (non-orbit input)")
+        m1 = clifford_act(self.q1, rho.rho2).scale(s)
+        m2 = clifford_act(self.q2, rho.rho1).scale(-s)
+        if mukai_pairing(m1, rho.rho2) != q:
+            raise StabilityError("normalization failed: <rho_hat1, rho2> != phi")
+        if mukai_pairing(m2, rho.rho1) != -q:
+            raise StabilityError("normalization failed: <rho_hat2, rho1> != -phi")
+        return RhoHat(m1, m2, q, s)
+
+    @cached_property
+    def v_triple(self) -> VTriple:
+        """Extract the triple and assert Gram constancy exactly.
+
+        The normalized Gram is (v1,v2) = s, (h,h) = -s/2, all other entries
+        zero; the entries are computed as exact rational ratios (Q_i,Q_j)/q.
+        """
+        q, s = self.signed
+        sections = (self.q1, self.p12, self.q2)
+        gram = tuple(tuple(_constant_ratio(gv_inner(a, b), q) for b in sections)
+                     for a in sections)
+        expected = (
+            (Fraction(0), Fraction(0), s * GRAM_V1V2),
+            (Fraction(0), s * GRAM_HH, Fraction(0)),
+            (s * GRAM_V1V2, Fraction(0), Fraction(0)),
+        )
+        if gram != expected:
+            raise StabilityError(f"unexpected triple Gram {gram}; convention constants violated")
+        return VTriple(self.q1, self.p12, self.q2, q, s, gram)
+
+    @cached_property
+    def variational_residual(self) -> VariationalResidual:
+        """(d rho, d rho_hat); both vanish exactly iff rho is a critical point.
+
+        The rho_hat residual is returned square-root-cleared (2q dm - dq ^ m).
+        """
+        hat = self.rho_hat
+        return VariationalResidual(
+            d_rho=(exterior_derivative(self.rho.rho1), exterior_derivative(self.rho.rho2)),
+            d_rho_hat_cleared=hat.closedness_residuals(),
+        )
+
+
+def _analysis(rho: RhoPair | PairAnalysis) -> PairAnalysis:
+    return rho if isinstance(rho, PairAnalysis) else PairAnalysis(rho)
+
+
+def is_stable(rho: RhoPair | PairAnalysis,
+              points: Sequence[Sequence[Rational]] | None = None) -> StabilityReport:
+    """f != 0 per point, with the sign of f as orbit discriminant."""
+    f = _analysis(rho).f
+    pts = [tuple(p) for p in (points or DEFAULT_PROBE_POINTS)]
+    values = [f.evaluate(p) for p in pts]
+    return StabilityReport(
+        points=pts,
+        values=values,
+        stable=[bool(v) for v in values],
+        orbit_signs=[(1 if v > 0 else -1 if v < 0 else 0) for v in values],
     )
+
+
+def signed_quartic(rho: RhoPair | PairAnalysis) -> tuple[Polynomial, int]:
+    return _analysis(rho).signed
+
+
+def v_triple(rho: RhoPair | PairAnalysis) -> VTriple:
+    return _analysis(rho).v_triple
+
+
+def rho_hat(rho: RhoPair | PairAnalysis) -> RhoHat:
+    return _analysis(rho).rho_hat
+
+
+def variational_residual(rho: RhoPair | PairAnalysis) -> VariationalResidual:
+    return _analysis(rho).variational_residual
 
 
 # -- the commuting triple at critical points ---------------------------------
@@ -426,36 +425,30 @@ def _cleared_lie_residual(qi: GenSection, q: Polynomial, target: MixedForm) -> M
     return out
 
 
-def commuting_triple_check(rho: RhoPair) -> CommutingReport:
+def commuting_triple_check(rho: RhoPair | PairAnalysis) -> CommutingReport:
     """Pairwise Courant brackets of the triple, the invariance equations
     L_{X_i} rho + d xi_i ^ rho = 0, and d(i_{X_i} vol) = 0, all exact.
 
     All three families hold when rho is critical; for non-critical rho the
     residuals are reported, not raised.
     """
-    triple = v_triple(rho)
+    analysis = _analysis(rho)
+    rho = analysis.rho
+    triple = analysis.v_triple
     q = triple.q
     names = ("v1", "h", "v2")
     sections = (triple.v1_dens, triple.h_dens, triple.v2_dens)
 
-    brackets = {}
-    for (i, a), (j, b) in [((0, sections[0]), (1, sections[1])),
-                           ((0, sections[0]), (2, sections[2])),
-                           ((1, sections[1]), (2, sections[2]))]:
-        brackets[f"[{names[i]},{names[j]}]"] = _cleared_bracket(a, b, q)
-
-    lies = {}
-    for name, sec in zip(names, sections):
-        for label, target in (("rho1", rho.rho1), ("rho2", rho.rho2)):
-            lies[f"L_{name}({label})"] = _cleared_lie_residual(sec, q, target)
-
-    volumes = {}
+    brackets = {f"[{names[i]},{names[j]}]": _cleared_bracket(sections[i], sections[j], q)
+                for i, j in ((0, 1), (0, 2), (1, 2))}
+    lies = {f"L_{name}({label})": _cleared_lie_residual(sec, q, target)
+            for name, sec in zip(names, sections)
+            for label, target in (("rho1", rho.rho1), ("rho2", rho.rho2))}
     vol = MixedForm.volume(rho.chart)
-    for name, sec in zip(names, sections):
-        volumes[f"d(i_X_{name} vol)"] = exterior_derivative(interior_product(sec.vector, vol))
-
+    volumes = {f"d(i_X_{name} vol)": exterior_derivative(interior_product(sec.vector, vol))
+               for name, sec in zip(names, sections)}
     return CommutingReport(
-        critical=variational_residual(rho).is_critical,
+        critical=analysis.variational_residual.is_critical,
         bracket_residuals=brackets,
         lie_residuals=lies,
         volume_preserving_residuals=volumes,

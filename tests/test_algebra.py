@@ -116,3 +116,58 @@ def test_solve_linear_exact():
     assert inv == [[Fraction(3, 5), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(2, 5)]]
     with pytest.raises(ZeroDivisionError):
         solve_linear([[1, 1], [1, 1]], [1, 2])
+
+
+# -- scalar fast paths of __mul__ ------------------------------------------------------
+
+
+def reference_mul(p, q):
+    """The general double loop of Polynomial.__mul__, for every operand."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+scalars = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10**6, 10**6), small_fractions)
+
+
+def assert_clean(p):
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 4), scalars)
+def test_scalar_products_match_general_loop(seed, dim, c):
+    ch = chart(dim)
+    p = random_polynomial(ch, random.Random(seed), max_degree=3, max_terms=5)
+    const = Polynomial.constant(chart(dim), c)      # an equal chart, not the same object
+    expected = reference_mul(p, Polynomial.constant(ch, c))
+    for product in (p * c, c * p, p * const, const * p):
+        assert product.terms == expected
+        assert product.terms is not p.terms
+        assert_clean(product)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 4))
+def test_general_products_match_general_loop(seed, dim):
+    rng = random.Random(seed)
+    p, q = (random_polynomial(chart(dim), rng, max_degree=3, max_terms=5) for _ in range(2))
+    assert (p * q).terms == reference_mul(p, q)
+    assert_clean(p * q)
+
+
+def test_scaling_never_aliases_and_rejects_other_charts():
+    c = chart()
+    p = Polynomial.coordinate(c, 0) + 1
+    one = p * 1
+    one.terms.clear()
+    assert p == Polynomial.coordinate(c, 0) + 1
+    with pytest.raises(ChartMismatchError):
+        p * Polynomial.constant(Chart(2), 3)
+    with pytest.raises(TypeError):
+        p * 0.5

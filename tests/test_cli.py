@@ -196,6 +196,37 @@ def test_sixdim_check_unreadable_trajectory_exit_2(tmp_path, capsys):
     assert str(no_config) in err and "config" in err
 
 
+def test_directory_inputs_exit_2(tmp_path, capsys):
+    d = tmp_path / "adir"
+    d.mkdir()
+    rho = tmp_path / "rho.json"
+    rho.write_text(json.dumps(gio.rho_pair_to_json(normal_form())))
+    for args in (["sixdim", "check", "--trajectory", str(d)],
+                 ["spin55", "analyze", str(d)],
+                 ["spin55", "analyze", str(rho), "--points", str(d)],
+                 ["flow", "run", "--config", str(d)],
+                 ["verify", "skew-torsion", "--input", str(d)],
+                 ["verify", "twisted", "--input", str(d)]):
+        assert run_cli(args) == 2, args
+        assert f"{d}: is a directory" in capsys.readouterr().err
+
+
+def test_non_object_flow_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1]")
+    assert run_cli(["flow", "run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: flow config must be a JSON object" in err
+    traj = _flow_trajectory(tmp_path)
+    with np.load(traj) as data:
+        members = {key: data[key] for key in data.files}
+    members["config"] = np.array("[1]")
+    bad = tmp_path / "list_config.npz"
+    np.savez_compressed(bad, **members)
+    assert run_cli(["sixdim", "check", "--trajectory", str(bad)]) == 2
+    assert f"{bad}: flow config must be a JSON object" in capsys.readouterr().err
+
+
 def test_spin55_analyze_late_stability_error_is_failed_check(tmp_path, monkeypatch):
     from gengeo import cli
     from gengeo.spin55 import StabilityError

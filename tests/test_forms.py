@@ -165,3 +165,55 @@ def test_degree_bookkeeping():
         MixedForm(c, {(2, 1): 1})
     with pytest.raises(ValueError):
         MixedForm(c, {(3,): 1})
+
+
+# -- single-dict accumulation against term-by-term sums ---------------------------------
+
+
+def reference_d(a):
+    out = MixedForm.zero(a.chart)
+    for idx, p in a.terms.items():
+        for i in range(a.chart.dim):
+            dp = p.differentiate(i)
+            merged = merge_indices((i,), idx)
+            if dp.is_zero or merged is None:
+                continue
+            midx, sign = merged
+            out = out + MixedForm(a.chart, {midx: dp if sign > 0 else -dp})
+    return out
+
+
+def reference_interior(x, a):
+    out = MixedForm.zero(a.chart)
+    for idx, p in a.terms.items():
+        for pos, i in enumerate(idx):
+            coeff = x.components[i] * p
+            if pos % 2:
+                coeff = -coeff
+            out = out + MixedForm(a.chart, {idx[:pos] + idx[pos + 1:]: coeff})
+    return out
+
+
+def assert_clean(a):
+    for idx, p in a.terms.items():
+        assert list(idx) == sorted(set(idx)) and not p.is_zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 5))
+def test_d_and_interior_match_term_by_term_sums(seed, dim):
+    rng = random.Random(seed)
+    c = Chart(dim)
+    a = random_mixed_form(c, rng, max_terms=3)
+    x = random_vector_field(c, rng)
+    if rng.random() < 0.3:                       # some zero components
+        x = VectorField(c, [p if rng.random() < 0.5 else Polynomial.zero(c) for p in x.components])
+    da, ia = exterior_derivative(a), interior_product(x, a)
+    assert da == reference_d(a) and ia == reference_interior(x, a)
+    assert_clean(da)
+    assert_clean(ia)
+    assert exterior_derivative(da).is_zero
+    for f in (Polynomial.zero(c), 0, -1, "3/2", Polynomial.coordinate(c, 0) + 1):
+        scaled = a.scale(f)
+        assert scaled == MixedForm(c, {i: p * f for i, p in a.terms.items()})
+        assert_clean(scaled)

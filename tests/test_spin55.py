@@ -8,7 +8,7 @@ from gengeo.forms import (MixedForm, VectorField, interior_product, mukai_pairin
                           random_mixed_form)
 from gengeo.generalized import (GenSection, bfield_on_form, bfield_on_section, clifford_act,
                                 courant_bracket, gv_inner)
-from gengeo.spin55 import (GRAM_HH, GRAM_V1V2, GenericData,
+from gengeo.spin55 import (GRAM_HH, GRAM_V1V2, GenericData, PairAnalysis,
                            GenericDataError, RhoPair, StabilityError, commuting_triple_check,
                            decompose, generic_structure, is_stable, normal_form, orbit_sign,
                            p_bilinear, q_vector, quartic_invariant, random_rho_pair,
@@ -394,3 +394,63 @@ def test_volume_gradient_check_normal_form():
                       MixedForm.function(c, 1) + dx(c, 2, 3, 4, 5))
     err = volume_gradient_check(nf, rho_dot, (0, 0, 0, 0, 0))
     assert err < 1e-6
+
+
+# -- one analysis per pair -------------------------------------------------------------
+
+
+def test_spin55_analyze_evaluates_q_and_p12_once(monkeypatch):
+    import json
+    from pathlib import Path
+
+    from gengeo import cli, spin55
+
+    calls = {"q_vector": 0, "p12": 0, "quartic_invariant": 0}
+    q_vector_, p_bilinear_, quartic_ = spin55.q_vector, spin55.p_bilinear, spin55.quartic_invariant
+
+    def q_spy(phi):
+        calls["q_vector"] += 1
+        return q_vector_(phi)
+
+    def p_spy(phi1, phi2):
+        calls["p12"] += phi1 is not phi2          # q_vector's own P(phi, phi) not counted
+        return p_bilinear_(phi1, phi2)
+
+    def quartic_spy(rho):
+        calls["quartic_invariant"] += 1
+        return quartic_(rho)
+
+    monkeypatch.setattr(spin55, "q_vector", q_spy)
+    monkeypatch.setattr(spin55, "p_bilinear", p_spy)
+    monkeypatch.setattr(spin55, "quartic_invariant", quartic_spy)
+    report = cli.spin55_analyze(normal_form())
+    assert calls["q_vector"] == 2 and calls["p12"] == 1 and calls["quartic_invariant"] <= 1
+    golden = Path(__file__).parent / "data" / "golden" / "spin55_normal_form.json"
+    assert json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n" == golden.read_text()
+
+
+def test_pair_analysis_accepted_everywhere_and_evaluated_once():
+    nf = normal_form()
+    a = PairAnalysis(nf)
+    assert is_stable(a) == is_stable(nf)
+    assert signed_quartic(a) == signed_quartic(nf)
+    assert v_triple(a) is v_triple(a) and v_triple(a) == v_triple(nf)
+    assert rho_hat(a) is rho_hat(a) and rho_hat(a) == rho_hat(nf)
+    assert variational_residual(a) is variational_residual(a)
+    assert variational_residual(a) == variational_residual(nf)
+    assert commuting_triple_check(a) == commuting_triple_check(nf)
+    assert a.p12 == p_bilinear(nf.rho1, nf.rho2)
+
+
+def test_pair_analysis_raises_the_same_error_on_every_access():
+    c = c5()
+    nf = normal_form(c)
+    x1 = Polynomial.coordinate(c, 0)
+    # f = -8 + 16 x1: negative at the origin, positive at (1, 0, 0, 0, 0)
+    rho = RhoPair(nf.rho1, nf.rho2 + MixedForm.function(c, x1 * -2))
+    a = PairAnalysis(rho)
+    assert is_stable(a, [(0, 0, 0, 0, 0)]).all_stable
+    for accessor in (signed_quartic, rho_hat, v_triple, variational_residual,
+                     commuting_triple_check, signed_quartic):
+        with pytest.raises(StabilityError, match="changes sign"):
+            accessor(a)
