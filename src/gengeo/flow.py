@@ -18,6 +18,8 @@ fourth order.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -30,6 +32,7 @@ from .tables import form_tables, q_tables, section_inner
 
 DIM = 5
 N_COEFF = 16
+DIAGNOSTICS = ("hamiltonian", "mean-modes", "closedness", "nahm")
 
 
 # -- configuration -------------------------------------------------------------
@@ -48,12 +51,24 @@ class FlowConfig:
     method: str = "spectral"
 
     def __post_init__(self) -> None:
-        if self.n < 4:
-            raise ValueError("grid size N must be >= 4")
+        """Reject a config that cannot run as asked (ValueError).  dt = 0 is valid:
+        every step then returns its state unchanged."""
+        for name, least in (("n", 4), ("steps", 0), ("ring", 3)):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{'N' if name == 'n' else name} must be an integer >= {least}")
+        for name in ("dt", "epsilon", "stability_floor"):
+            value = getattr(self, name)
+            if (type(value) is bool or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number")
+        if self.stability_floor <= 0:
+            raise ValueError("stability_floor must be > 0")
         if self.method not in ("spectral", "fd4"):
             raise ValueError("method must be 'spectral' or 'fd4'")
-        if self.ring < 3:
-            raise ValueError("ring must keep at least 3 states")
+        unknown = [d for d in self.diagnostics if d not in DIAGNOSTICS]
+        if unknown:
+            raise ValueError(f"diagnostics: unknown {unknown}; known {list(DIAGNOSTICS)}")
 
     @staticmethod
     def from_json_obj(obj: Mapping) -> "FlowConfig":
@@ -67,6 +82,8 @@ class FlowConfig:
         if unknown:
             raise ValueError(f"unknown flow config keys: {sorted(unknown)}")
         if "diagnostics" in kwargs:
+            if not isinstance(kwargs["diagnostics"], list):
+                raise ValueError("diagnostics must be a list of names")
             kwargs["diagnostics"] = tuple(kwargs["diagnostics"])
         return FlowConfig(**kwargs)
 
@@ -163,8 +180,8 @@ def _axis_derivative(fields: np.ndarray, axis: int, dmat: np.ndarray,
     """
     shape = fields.shape
     n = shape[axis]
-    pre = int(np.prod(shape[:axis], dtype=np.int64))
-    post = int(np.prod(shape[axis + 1:], dtype=np.int64))
+    pre = math.prod(shape[:axis])
+    post = math.prod(shape[axis + 1:])
     if post == 1:
         np.matmul(fields.reshape(pre, n), dmat.T, out=out.reshape(pre, n))
     else:
@@ -172,20 +189,10 @@ def _axis_derivative(fields: np.ndarray, axis: int, dmat: np.ndarray,
     return out
 
 
-def spectral_gradient(fields: np.ndarray, n: int) -> np.ndarray:
-    """d(fields)/dx_i for every component; shape (5,) + fields.shape."""
-    return _gradient(fields, n, "spectral")
-
-
-def fd4_gradient(fields: np.ndarray, n: int) -> np.ndarray:
-    """4th-order centered differences, the non-smooth-data fallback."""
-    return _gradient(fields, n, "fd4")
-
-
-def _gradient(fields: np.ndarray, n: int, method: str,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of shape (5,) + fields.shape, written into ``out`` if given
-    (C-contiguous, as for ``_axis_derivative``)."""
+def gradient(fields: np.ndarray, n: int, method: str,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """d(fields)/dx_i for every component, shape (5,) + fields.shape, written
+    into ``out`` if given (C-contiguous, as for ``_axis_derivative``)."""
     dmat = derivative_matrix(n, method)
     if out is None:
         out = np.empty((DIM,) + fields.shape, dtype=np.float64)
@@ -194,8 +201,9 @@ def _gradient(fields: np.ndarray, n: int, method: str,
     return out
 
 
-def gradient_op(method: str) -> Callable[[np.ndarray, int], np.ndarray]:
-    return spectral_gradient if method == "spectral" else fd4_gradient
+def spectral_gradient(fields: np.ndarray, n: int) -> np.ndarray:
+    # kept only as a name that bench/tracing.py and bench/run.py look up
+    return gradient(fields, n, "spectral")
 
 
 def grid_d(fields: np.ndarray, parity: int, n: int, method: str = "spectral") -> np.ndarray:
@@ -210,12 +218,26 @@ def grid_d(fields: np.ndarray, parity: int, n: int, method: str = "spectral") ->
 
 
 @dataclass
-class HatResult:
-    hat1: np.ndarray
-    hat2: np.ndarray
+class PointwiseSpin:
+    """Nodewise Q1 = Q(rho1), Q2 = Q(rho2), f = (Q1, Q2), phi = sqrt|f| and the orbit sign."""
+
+    q1: np.ndarray
+    q2: np.ndarray
     f: np.ndarray
     phi: np.ndarray
     sign: int
+
+    def triple(self, rho1: np.ndarray, rho2: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(v1, h, v2) = s (Q1, P12, Q2) / phi, each of shape (10, grid)."""
+        p12 = q_tables().p_apply(rho1, rho2)    # allocated first: fewer later heap trims
+        scale = self.sign / self.phi
+        return self.q1 * scale, p12 * scale, self.q2 * scale
+
+
+@dataclass
+class HatResult(PointwiseSpin):
+    hat1: np.ndarray
+    hat2: np.ndarray
 
 
 def stability_field(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
@@ -239,33 +261,31 @@ def _check_stability(f: np.ndarray, floor: float, t: float) -> int:
     return int(signs.flat[0])
 
 
-def rho_hat_grid(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
-                 t: float = 0.0) -> HatResult:
-    """Nodewise rho_hat = s (v1.rho2, -v2.rho1) with v_i = Q_i / phi."""
+def _pointwise_spin(rho1: np.ndarray, rho2: np.ndarray, floor: float, t: float) -> PointwiseSpin:
+    """The one Q/f evaluation behind rho_hat and the triple; raises StabilityError
+    where |f| <= floor or the orbit sign flips."""
     qt = q_tables()
-    ft = qt.forms
     q1 = qt.q_apply(rho1)
     q2 = qt.q_apply(rho2)
     f = section_inner(q1, q2, DIM)
     sign = _check_stability(f, floor, t)
-    phi = np.sqrt(np.abs(f))
-    hat1 = ft.clifford_apply(q1 / phi, rho2, 0) * sign
-    hat2 = ft.clifford_apply(q2 / phi, rho1, 0) * (-sign)
-    return HatResult(hat1=hat1, hat2=hat2, f=f, phi=phi, sign=sign)
+    return PointwiseSpin(q1, q2, f, np.sqrt(np.abs(f)), sign)
+
+
+def rho_hat_grid(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
+                 t: float = 0.0) -> HatResult:
+    """Nodewise rho_hat = s (v1.rho2, -v2.rho1) with v_i = Q_i / phi."""
+    s = _pointwise_spin(rho1, rho2, floor, t)
+    ft = form_tables(DIM)
+    return HatResult(**vars(s), hat1=ft.clifford_apply(s.q1 / s.phi, rho2, 0) * s.sign,
+                     hat2=ft.clifford_apply(s.q2 / s.phi, rho1, 0) * (-s.sign))
 
 
 def signed_triple(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
                   t: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """(v1, h, v2, phi, s): s-signed normalized triple fields, shape (10, grid)."""
-    qt = q_tables()
-    q1 = qt.q_apply(rho1)
-    q2 = qt.q_apply(rho2)
-    p12 = qt.p_apply(rho1, rho2)
-    f = section_inner(q1, q2, DIM)
-    sign = _check_stability(f, floor, t)
-    phi = np.sqrt(np.abs(f))
-    scale = sign / phi
-    return q1 * scale, p12 * scale, q2 * scale, phi, sign
+    spin = _pointwise_spin(rho1, rho2, floor, t)
+    return spin.triple(rho1, rho2) + (spin.phi, spin.sign)
 
 
 # -- time stepping -----------------------------------------------------------------
@@ -274,6 +294,7 @@ def signed_triple(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
 def _rhs(rho1: np.ndarray, rho2: np.ndarray, n: int, method: str, floor: float,
          t: float) -> tuple[np.ndarray, np.ndarray]:
     hat = rho_hat_grid(rho1, rho2, floor, t)
+    del hat.q1, hat.q2      # only the hats are used: free Q(rho1), Q(rho2) before d runs
     return (grid_d(hat.hat1, 1, n, method), grid_d(hat.hat2, 1, n, method))
 
 
@@ -490,34 +511,38 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
 # -- Courant brackets and the evolution-equation residual ----------------------------
 
 
+def section_pairing(u: np.ndarray, v: np.ndarray, dim: int) -> np.ndarray:
+    """Pointwise i_{X_u} xi_v - i_{X_v} xi_u of sections (2 dim, grid)."""
+    acc = np.zeros_like(u[0])
+    for a in range(dim):
+        acc += u[a] * v[dim + a] - v[a] * u[dim + a]
+    return acc
+
+
+def bracket_from_derivatives(u: np.ndarray, v: np.ndarray, du: np.ndarray, dv: np.ndarray,
+                             dpairing: np.ndarray) -> np.ndarray:
+    """[u, v] = [X_u, X_v] + L_{X_u} xi_v - L_{X_v} xi_u - d(section_pairing(u, v))/2 for
+    sections (2 dim, grid), dim = len(du), from du[a][c] = d_a u_c and dpairing[a]."""
+    dim = len(du)
+    out = np.zeros_like(u)
+    xu, xv = u[:dim], v[:dim]
+    eu, ev = u[dim:], v[dim:]
+    for b in range(dim):
+        acc_v = out[b]
+        acc_f = out[dim + b]
+        for a in range(dim):
+            acc_v += xu[a] * dv[a][b] - xv[a] * du[a][b]
+            acc_f += xu[a] * dv[a][dim + b] + ev[a] * du[b][a]
+            acc_f -= xv[a] * du[a][dim + b] + eu[a] * dv[b][a]
+        acc_f -= 0.5 * dpairing[b]
+    return out
+
+
 def courant_bracket_grid(u: np.ndarray, v: np.ndarray, n: int,
                          method: str = "spectral") -> np.ndarray:
-    """[u, v] for sampled sections (10, grid): Lie bracket plus form terms."""
-    grad = gradient_op(method)
-    du = grad(u, n)   # (5, 10, grid)
-    dv = grad(v, n)
-    out = np.zeros_like(u)
-    xu, xv = u[:DIM], v[:DIM]
-    eu, ev = u[DIM:], v[DIM:]
-    dxu, dxv = du[:, :DIM], dv[:, :DIM]
-    deu, dev = du[:, DIM:], dv[:, DIM:]
-    # vector part: X_u^j d_j X_v^i - X_v^j d_j X_u^i
-    for i in range(DIM):
-        acc = out[i]
-        for j in range(DIM):
-            acc += xu[j] * dxv[j][i] - xv[j] * dxu[j][i]
-    # one-form part: L_{X_u} ev - L_{X_v} eu - d(i_{X_u} ev - i_{X_v} eu)/2
-    pairing = np.zeros_like(u[0])
-    for j in range(DIM):
-        pairing += xu[j] * ev[j] - xv[j] * eu[j]
-    dpairing = grad(pairing, n)
-    for i in range(DIM):
-        acc = out[DIM + i]
-        for j in range(DIM):
-            acc += xu[j] * dev[j][i] + ev[j] * dxu[i][j]
-            acc -= xv[j] * deu[j][i] + eu[j] * dxv[i][j]
-        acc -= 0.5 * dpairing[i]
-    return out
+    """[u, v] for sampled sections (10, grid) on the five-torus."""
+    return bracket_from_derivatives(u, v, gradient(u, n, method), gradient(v, n, method),
+                                    gradient(section_pairing(u, v, DIM), n, method))
 
 
 def lambda_field(h: np.ndarray, bracket_v1v2: np.ndarray) -> np.ndarray:

@@ -281,10 +281,18 @@ def sigma_involution(a: MixedForm) -> MixedForm:
 
 
 def mukai_pairing(a: MixedForm, b: MixedForm) -> Polynomial:
-    """<a,b> = top-degree coefficient of a ^ sigma(b)."""
+    """<a,b> = top-degree coefficient of a ^ sigma(b): each term of a meets only
+    the term of b on the complementary index set."""
     a.chart.require_same(b.chart)
-    top = wedge(a, sigma_involution(b))
-    return top.coefficient(tuple(range(a.chart.dim)))
+    top = range(a.chart.dim)
+    out = Polynomial.zero(a.chart)
+    for ia, pa in a.terms.items():
+        ib = tuple(i for i in top if i not in ia)
+        pb = b.terms.get(ib)
+        if pb is not None:
+            sign = merge_indices(ia, ib)[1] * (-1 if (len(ib) // 2) % 2 else 1)
+            out = out + pa * pb if sign > 0 else out - pa * pb
+    return out
 
 
 def vf_bracket(x: VectorField, y: VectorField) -> VectorField:

@@ -20,8 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .flow import (GridState, SpinMemo, Trajectory, _gradient, courant_bracket_grid, grid_d,
-                   grid_norm, lambda_field, lattice_cell_volume, rho_hat_grid, signed_triple)
+from .flow import (GridState, SpinMemo, Trajectory, bracket_from_derivatives, courant_bracket_grid,
+                   gradient, grid_d, grid_norm, lambda_field, lattice_cell_volume, rho_hat_grid,
+                   section_pairing)
 from .tables import form_tables, section_inner
 
 DIM = 5
@@ -67,6 +68,13 @@ def _section_to_6d(sec: np.ndarray) -> np.ndarray:
     out[1: 1 + DIM] = sec[:DIM]
     out[DIM6 + 1:] = sec[DIM:]
     return out
+
+
+def _add_dt_section(sec: np.ndarray) -> np.ndarray:
+    """sec + (d/dt - 2dt) in place on the 6-chart layout (12, grid); returns sec."""
+    sec[0] += 1.0
+    sec[DIM6] += -2.0
+    return sec
 
 
 def _assemble_sigma(rho_z: np.ndarray, hat_z: np.ndarray) -> np.ndarray:
@@ -117,7 +125,7 @@ def _spin_memo(state: GridState, floor: float) -> SpinMemo:
     memo = state.spin
     if memo is None or memo.floor != floor:
         hat = rho_hat_grid(state.rho1, state.rho2, floor, state.t)
-        v1, h, v2, _, _ = signed_triple(state.rho1, state.rho2, floor, state.t)
+        v1, h, v2 = hat.triple(state.rho1, state.rho2)    # no second Q/f evaluation
         memo = SpinMemo(floor, hat.hat1, hat.hat2, (v1, h, v2))
         for arr in (state.rho1, state.rho2, memo.hat1, memo.hat2, v1, h, v2):
             arr.flags.writeable = False
@@ -162,9 +170,7 @@ def build_sigma(source: Trajectory | Sequence[GridState], z: ZValue,
             hat_z = memo.hat1 + zf * memo.hat2
             v_z = v1 + (2 * zf) * h + (zf * zf) * v2
             u_z = (1.0 / zf) * v1 - zf * v2
-        w_z = -_section_to_6d(u_z)
-        w_z[0] += 1.0          # d/dt component
-        w_z[DIM6] += -2.0      # dt component
+        w_z = _add_dt_section(-_section_to_6d(u_z))
         slices.append(SigmaSlice(
             z=z, t=state.t, n=state.n,
             sigma=_assemble_sigma(rho_z, hat_z),
@@ -223,10 +229,7 @@ def gram_signature(s: SigmaSlice) -> tuple[int, int, int]:
 
 def _triple_signature(triple: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[int, int, int]:
     v1, h, v2 = (_section_to_6d(x) for x in triple)
-    w0 = np.zeros_like(v1)
-    w0[0] += 1.0
-    w0[DIM6] += -2.0
-    basis = [w0, v1, h, v2]
+    basis = [_add_dt_section(np.zeros_like(v1)), v1, h, v2]
     grid_shape = v1.shape[1:]
     gram = np.zeros(grid_shape + (4, 4))
     for i in range(4):
@@ -249,6 +252,14 @@ def _time_derivative(arrays: Sequence[np.ndarray], dt: float) -> np.ndarray:
     return (arrays[2] - arrays[0]) / (2 * dt)
 
 
+def _spacetime_gradient(slices: Sequence[np.ndarray], n: int, dt: float, method: str) -> np.ndarray:
+    """(d/dt, d/dx_1..d/dx_5) of the middle slice, d/dt by central differences."""
+    out = np.empty((DIM6,) + slices[1].shape)
+    out[0] = _time_derivative(slices, dt)
+    gradient(slices[1], n, method, out=out[1:])
+    return out
+
+
 def courant_bracket_6d(u_slices: Sequence[np.ndarray], v_slices: Sequence[np.ndarray],
                        n: int, dt: float, method: str = "spectral") -> np.ndarray:
     """[u, v] on the 6-chart at the middle slice.
@@ -256,33 +267,9 @@ def courant_bracket_6d(u_slices: Sequence[np.ndarray], v_slices: Sequence[np.nda
     Sections are (12, grid) per slice; the time axis enters through central
     differences of the slice sequence, the spatial axes spectrally.
     """
-    u, v = u_slices[1], v_slices[1]
-    du = np.empty((DIM6,) + u.shape)
-    dv = np.empty((DIM6,) + v.shape)
-    du[0] = _time_derivative(u_slices, dt)
-    dv[0] = _time_derivative(v_slices, dt)
-    _gradient(u, n, method, out=du[1:])
-    _gradient(v, n, method, out=dv[1:])
-
-    out = np.zeros_like(u)
-    xu, xv = u[:DIM6], v[:DIM6]
-    eu, ev = u[DIM6:], v[DIM6:]
-    pairing = np.zeros_like(u[0])
-    for a in range(DIM6):
-        pairing += xu[a] * ev[a] - xv[a] * eu[a]
-    dpairing = np.empty((DIM6,) + pairing.shape)
-    dpairing[0] = _time_derivative([np.sum(us[:DIM6] * vs[DIM6:] - vs[:DIM6] * us[DIM6:], axis=0)
-                                    for us, vs in zip(u_slices, v_slices)], dt)
-    _gradient(pairing, n, method, out=dpairing[1:])
-    for b in range(DIM6):
-        acc_v = out[b]
-        acc_f = out[DIM6 + b]
-        for a in range(DIM6):
-            acc_v += xu[a] * dv[a][b] - xv[a] * du[a][b]
-            acc_f += xu[a] * dv[a][DIM6 + b] + ev[a] * du[b][a]
-            acc_f -= xv[a] * du[a][DIM6 + b] + eu[a] * dv[b][a]
-        acc_f -= 0.5 * dpairing[b]
-    return out
+    pairings = [section_pairing(us, vs, DIM6) for us, vs in zip(u_slices, v_slices)]
+    return bracket_from_derivatives(u_slices[1], v_slices[1], *(
+        _spacetime_gradient(slices, n, dt, method) for slices in (u_slices, v_slices, pairings)))
 
 
 @dataclass
@@ -327,13 +314,9 @@ def ez_check(slices: Sequence[SigmaSlice], method: str = "spectral") -> EzReport
     vw = section_inner(mid.v_z, mid.w_z, DIM6)
     ww = section_inner(mid.w_z, mid.w_z, DIM6)
     # u(z) = d/dt - 2dt - w(z); (u,u) = 2 and (d/dt-2dt, ...) = -2 feed (w,w) = 0
-    u_mid = -mid.w_z.copy()
-    u_mid[0] += 1.0
-    u_mid[DIM6] += -2.0
+    u_mid = _add_dt_section(-mid.w_z)
     uu = section_inner(u_mid, u_mid, DIM6)
-    dt_sec = np.zeros_like(mid.w_z)
-    dt_sec[0] += 1.0
-    dt_sec[DIM6] += -2.0
+    dt_sec = _add_dt_section(np.zeros_like(mid.w_z))
     dtdt = section_inner(dt_sec, dt_sec, DIM6)
     bracket = courant_bracket_6d([s.w_z for s in (prev, mid, nxt)],
                                  [s.v_z for s in (prev, mid, nxt)], mid.n, dt, method)

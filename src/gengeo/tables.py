@@ -1,10 +1,10 @@
 """Structure constants for the vectorized pointwise form algebra.
 
-The grid backends re-implement nothing: every table (Clifford action,
-Mukai pairing, the quadratic Q-forms) is generated once per dimension by
-evaluating the exact symbolic kernel on constant basis forms, then frozen
-as integer index arrays for numpy.  That keeps the float path and the
-rational path definitionally consistent.
+The grid backends re-implement nothing: the Clifford, d and Mukai tables
+are generated once per dimension by evaluating the exact symbolic kernel
+on constant basis forms, the Q-forms are composed from the Clifford and
+Mukai tables, and all are frozen as integer index arrays for numpy.  That
+keeps the float path and the rational path definitionally consistent.
 """
 
 from __future__ import annotations
@@ -42,46 +42,31 @@ class FormTables:
         self.n_even = len(self.even_idx)
         self.n_odd = len(self.odd_idx)
 
-        # Clifford action entries per source parity: slot s applied to basis
-        # src yields sign * dst of the opposite parity.
+        # Per source parity, for each basis index src:
+        # - clifford: slot s applied to basis src yields sign * dst of the opposite parity;
+        # - ext: dx_i ^ (basis src) -> sign * dst, consumed by grid d;
+        # - mukai[(pa, pb)]: the sign of <src, b>, nonzero only for b the complement
+        #   of src (parity-mixed pairs in odd dim, same-parity pairs in even dim).
         self.clifford: dict[int, list[Entry]] = {0: [], 1: []}
+        self.ext: dict[int, list[Entry]] = {0: [], 1: []}
+        self.mukai: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         sections = [GenSection.basis(chart, s) for s in range(2 * dim)]
+
+        def add(entries: list[Entry], key: int, src: int, out: MixedForm) -> None:
+            for out_idx, coeff in out.terms.items():
+                entries.append((key, src, self.pos[out_idx][1], int(coeff.constant_value())))
+
         for parity, basis in ((0, self.even_idx), (1, self.odd_idx)):
             for src, idx in enumerate(basis):
                 form = MixedForm.basis(chart, idx)
                 for slot, sec in enumerate(sections):
-                    out = clifford_act(sec, form)
-                    for out_idx, coeff in out.terms.items():
-                        value = coeff.constant_value()
-                        _, dst = self.pos[out_idx]
-                        self.clifford[parity].append((slot, src, dst, int(value)))
-
-        # d entries: dx_i ^ (basis src) -> sign * dst, consumed by grid d.
-        self.ext: dict[int, list[tuple[int, int, int, int]]] = {0: [], 1: []}
-        for parity, basis in ((0, self.even_idx), (1, self.odd_idx)):
-            for src, idx in enumerate(basis):
-                form = MixedForm.basis(chart, idx)
+                    add(self.clifford[parity], slot, src, clifford_act(sec, form))
                 for i in range(dim):
-                    out = wedge(MixedForm.basis(chart, (i,)), form)
-                    for out_idx, coeff in out.terms.items():
-                        _, dst = self.pos[out_idx]
-                        self.ext[parity].append((i, src, dst, int(coeff.constant_value())))
-
-        # Mukai pairing signs: <odd a, even b> and <even a, odd b> when the
-        # index sets are complementary (only parity-mixed pairs survive in
-        # odd dimension; even-even pairs appear for even dim).
-        self.mukai: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for pa, basis_a in ((0, self.even_idx), (1, self.odd_idx)):
-            for pb, basis_b in ((0, self.even_idx), (1, self.odd_idx)):
-                entries = []
-                for a, ia in enumerate(basis_a):
-                    for b, ib in enumerate(basis_b):
-                        val = mukai_pairing(MixedForm.basis(chart, ia), MixedForm.basis(chart, ib))
-                        cv = val.constant_value()
-                        if cv:
-                            entries.append((a, b, int(cv)))
-                if entries:
-                    self.mukai[(pa, pb)] = entries
+                    add(self.ext[parity], i, src, wedge(MixedForm.basis(chart, (i,)), form))
+                complement = tuple(i for i in range(dim) if i not in idx)
+                pb, b = self.pos[complement]
+                val = mukai_pairing(form, MixedForm.basis(chart, complement))
+                self.mukai.setdefault((parity, pb), []).append((src, b, int(val.constant_value())))
 
     # -- vectorized operations (leading axis = component, rest = grid) -----
 
@@ -134,25 +119,18 @@ class QTables:
         if dim != 5:
             raise ValueError("Q tables are five-dimensional")
         self.dim = dim
-        chart = Chart(dim)
         forms = form_tables(dim)
         self.forms = forms
-        sections = [GenSection.basis(chart, s) for s in range(2 * dim)]
-        # Pairing against dx_i reads off X^i, pairing against d/dx_i reads
-        # off xi_i, so output slot `s` is fed by the dual basis section.
-        self.q_entries: list[list[tuple[int, int, int]]] = []
-        for slot in range(2 * dim):
-            dual = (slot + dim) % (2 * dim)
-            entries = []
-            for a, ia in enumerate(forms.even_idx):
-                ea = MixedForm.basis(chart, ia)
-                acted = clifford_act(sections[dual], ea)
-                for b, ib in enumerate(forms.even_idx):
-                    val = mukai_pairing(acted, MixedForm.basis(chart, ib))
-                    cv = val.constant_value()
-                    if cv:
-                        entries.append((a, b, 2 * int(cv)))
-            self.q_entries.append(entries)
+        # e_s . e_a = sign * (odd c), and <odd c, even b> is nonzero only for the
+        # complement b of c.  Pairing against dx_i reads off X^i, pairing against
+        # d/dx_i reads off xi_i, so output slot `s + dim` (mod 2 dim) is fed by e_s.
+        partner = {c: (b, sign) for c, b, sign in forms.mukai[(1, 0)]}
+        self.q_entries: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * dim)]
+        for s, a, c, sign in forms.clifford[0]:
+            b, mukai_sign = partner[c]
+            self.q_entries[(s + dim) % (2 * dim)].append((a, b, 2 * sign * mukai_sign))
+        for entries in self.q_entries:
+            entries.sort()
         self.q_pairs: list[list[tuple[int, int, int]]] = []
         for entries in self.q_entries:
             merged: dict[tuple[int, int], int] = {}

@@ -227,6 +227,34 @@ def test_non_object_flow_config_exit_2(tmp_path, capsys):
     assert f"{bad}: flow config must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, field", [
+    ({"steps": -3}, "steps"),                        # ran zero steps and passed
+    ({"steps": 1.5}, "steps"),                       # TypeError traceback
+    ({"N": 4.5}, "N"),                               # TypeError traceback
+    ({"stability_floor": -1}, "stability_floor"),    # switched the floor check off
+    ({"dt": float("nan")}, "dt"),                    # failed as a stability check
+    ({"epsilon": float("inf")}, "epsilon"),          # failed as a stability check
+    ({"diagnostics": ["hamiltonain"]}, "diagnostics"),   # silently ignored
+    ({"diagnostics": "nahm"}, "diagnostics"),        # read as the letters n, a, h, m
+], ids=["negative-steps", "fractional-steps", "fractional-N", "negative-floor", "nan-dt",
+        "infinite-epsilon", "unknown-diagnostic", "diagnostics-not-a-list"])
+def test_invalid_flow_config_exit_2(tmp_path, capsys, bad, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 4, "steps": 1, **bad}))    # NaN / Infinity literals
+    out = tmp_path / "r.json"
+    assert run_cli(["flow", "run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"input error: {cfg}: {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_dt_flow_config_is_valid(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 4, "steps": 2, "dt": 0}))
+    out = tmp_path / "r.json"
+    assert run_cli(["flow", "run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read(out)["times"] == [0, 0, 0]
+
+
 def test_spin55_analyze_late_stability_error_is_failed_check(tmp_path, monkeypatch):
     from gengeo import cli
     from gengeo.spin55 import StabilityError

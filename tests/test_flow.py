@@ -5,7 +5,7 @@ import pytest
 
 from gengeo import flow
 from gengeo.flow import (FlowConfig, Trajectory, closedness_norms, courant_bracket_grid,
-                         derivative_matrix, fd4_gradient, flow_step, gradient_op, grid_d,
+                         derivative_matrix, flow_step, gradient, grid_d,
                          hamiltonian, initial_state, mean_mode_invariants, nahm_residual,
                          perturbation_forms, rho_hat_grid, run_flow, signed_triple,
                          spectral_gradient, stability_field)
@@ -54,7 +54,7 @@ def test_fd4_gradient_order():
         x = np.arange(n) * (2 * np.pi / n)
         field = np.zeros((1, n, n, n, n, n))
         field[0] = np.sin(x).reshape(n, 1, 1, 1, 1)
-        g = fd4_gradient(field, n)
+        g = gradient(field, n, "fd4")
         expected = np.broadcast_to(np.cos(x).reshape(n, 1, 1, 1, 1), (n,) * 5)
         errs.append(np.max(np.abs(g[0][0] - expected)))
     order = np.log2(errs[0] / errs[1])
@@ -98,7 +98,7 @@ def test_grid_d_matches_full_gradient_assembly(n, method, parity):
     # n = 5 covers odd n; every n runs the last axis through the single-GEMM path
     rng = np.random.default_rng(10 * n + parity)
     fields = rng.normal(size=(16,) + (n,) * 5)
-    grad = gradient_op(method)(fields, n)
+    grad = gradient(fields, n, method)
     assert np.max(np.abs(grad - _tensordot_gradient(fields, n, method))) <= 1e-13
     ref = np.zeros((16,) + (n,) * 5)
     for i, src, dst, sign in form_tables(5).ext[parity]:
@@ -288,9 +288,9 @@ def test_orbit_sign_flip_detected():
 def test_gradient_out_matches_allocating_path(method):
     rng = np.random.default_rng(3)
     fields = rng.standard_normal((3,) + (5,) * 5)
-    expected = flow._gradient(fields, 5, method)
+    expected = gradient(fields, 5, method)
     buf = np.full((6,) + fields.shape, np.nan)
-    got = flow._gradient(fields, 5, method, out=buf[1:])
+    got = gradient(fields, 5, method, out=buf[1:])
     assert np.shares_memory(got, buf)
     assert np.array_equal(buf[1:], expected)
     assert np.isnan(buf[0]).all()

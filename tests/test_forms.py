@@ -103,6 +103,19 @@ def test_mukai_matches_component_expansion():
     assert mukai_pairing(psi, phi) == expanded
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 6))
+def test_mukai_pairing_is_the_top_coefficient_of_the_wedge(seed, dim):
+    # mukai_pairing pairs only complementary terms; the definition multiplies out all
+    rng = random.Random(seed)
+    chart = Chart(dim)
+    a = random_mixed_form(chart, rng, max_terms=3)
+    b = random_mixed_form(chart, rng, max_terms=3)
+    top = tuple(range(dim))
+    assert mukai_pairing(a, b) == wedge(a, sigma_involution(b)).coefficient(top)
+    assert mukai_pairing(a, a) == wedge(a, sigma_involution(a)).coefficient(top)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6), st.integers(2, 5))
 def test_d_squared_zero(seed, dim):

@@ -1,8 +1,9 @@
 """CLI reports for fixed inputs, compared byte for byte with committed files.
 
-`tests/data/golden/` holds the `--out` JSON of each command in `CASES` and
-the spin55 inputs those commands read (`INPUTS`).  Rewrite every file from
-the code on the path with
+`tests/data/golden/` holds the `--out` JSON of each command in `CASES`, the
+`flow run` report and CSV and the `sixdim check` report of each config in
+`FLOW_RUNS` (temporary paths masked), and the inputs those commands read
+(`INPUTS`).  Rewrite every file from the code on the path with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
@@ -10,6 +11,7 @@ the code on the path with
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -71,12 +73,22 @@ def unstable_pair():
     return RhoPair(nf.rho2, nf.rho2)
 
 
+# N=4 runs through every grid layer: rho_hat, the nahm triple and brackets, sigma(z)
+FLOW_RUNS = {
+    "spectral": {"N": 4, "dt": 0.01, "steps": 4, "epsilon": 0.01, "method": "spectral",
+                 "diagnostics": ["hamiltonian", "mean-modes", "closedness", "nahm"]},
+    "fd4": {"N": 4, "dt": 0.01, "steps": 4, "epsilon": 0.01, "method": "fd4",
+            "stability_floor": 1e-3,
+            "diagnostics": ["hamiltonian", "mean-modes", "closedness", "nahm"]},
+}
+
 INPUTS = {
     "rho_critical.json": lambda: gio.rho_pair_to_json(critical_pair()),
     "rho_noncritical.json": lambda: gio.rho_pair_to_json(noncritical_pair()),
     "rho_mixed_sign.json": lambda: gio.rho_pair_to_json(mixed_sign_pair()),
     "rho_unstable.json": lambda: gio.rho_pair_to_json(unstable_pair()),
     "points_origin.json": lambda: {"points": [[0, 0, 0, 0, 0]]},
+    **{f"flow_{run}_config.json": (lambda run=run: FLOW_RUNS[run]) for run in FLOW_RUNS},
 }
 
 
@@ -93,6 +105,30 @@ def test_report_matches_golden_file(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+MASK = "<tmp>"
+
+
+def _flow_outputs(run, tmp):
+    """Run `flow run` then `sixdim check` on its trajectory; returns the two exit
+    codes and {golden name: output text with the temporary directory masked}."""
+    traj, names = tmp / "trajectory.npz", (f"flow_{run}.json", f"flow_{run}.csv",
+                                           f"sixdim_{run}.json")
+    codes = (main(["flow", "run", "--config", str(GOLDEN / f"flow_{run}_config.json"),
+                   "--trajectory", str(traj), "--csv", str(tmp / names[1]),
+                   "--out", str(tmp / names[0])]),
+             main(["sixdim", "check", "--trajectory", str(traj), "--out", str(tmp / names[2])]))
+    return codes, {name: (tmp / name).read_text().replace(str(tmp), MASK) for name in names}
+
+
+@pytest.mark.parametrize("run", sorted(FLOW_RUNS))
+def test_flow_and_sixdim_reports_match_golden_files(run, tmp_path):
+    codes, outputs = _flow_outputs(run, tmp_path)
+    for code, name in zip(codes, (f"flow_{run}.json", f"sixdim_{run}.json")):
+        assert code == (0 if json.loads(outputs[name])["pass"] else 1)
+    for name, text in outputs.items():
+        assert text == (GOLDEN / name).read_text(), name
+
+
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_golden_inputs_are_the_seeded_pairs(name):
     assert json.loads((GOLDEN / name).read_text()) == INPUTS[name]()
@@ -104,6 +140,10 @@ def _rewrite() -> None:
         (GOLDEN / name).write_text(json.dumps(build(), indent=1) + "\n")
     for name in CASES:
         main(_args(name, GOLDEN / name))
+    with tempfile.TemporaryDirectory() as tmp:
+        for run in FLOW_RUNS:
+            for name, text in _flow_outputs(run, Path(tmp))[1].items():
+                (GOLDEN / name).write_text(text)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from gengeo.sixdim import (DEFAULT_Z_SWEEP, annihilator_check, annihilator_nulli
                            build_sigma, check_trajectory, courant_bracket_6d,
                            dsigma_residual, ez_check, gram_signature, parse_z_list)
 from gengeo.spin55 import StabilityError
+from gengeo.tables import QTables
 
 N = 4
 
@@ -151,31 +152,37 @@ def test_full_sweep_matches_fresh_per_z_calls():
 
 
 def _count_spin_calls(monkeypatch):
-    calls = {"rho_hat_grid": 0, "signed_triple": 0}
-    for name in calls:
-        original = getattr(sixdim, name)
+    """Count sixdim's rho_hat_grid calls and every Q(rho) evaluation."""
+    calls = {"rho_hat_grid": 0, "q_apply": 0}
+    original_hat, original_q = sixdim.rho_hat_grid, QTables.q_apply
 
-        def spy(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def hat_spy(*args, **kwargs):
+        calls["rho_hat_grid"] += 1
+        return original_hat(*args, **kwargs)
 
-        monkeypatch.setattr(sixdim, name, spy)
+    def q_spy(self, phi):
+        calls["q_apply"] += 1
+        return original_q(self, phi)
+
+    monkeypatch.setattr(sixdim, "rho_hat_grid", hat_spy)
+    monkeypatch.setattr(QTables, "q_apply", q_spy)
     return calls
 
 
 def test_spin_fields_evaluated_once_per_state(monkeypatch):
     traj = perturbed_traj()
     states = traj.states()
+    floor = min(float(np.min(np.abs(stability_field(s.rho1, s.rho2)))) for s in states)
     calls = _count_spin_calls(monkeypatch)
     check_trajectory(traj)
     check_trajectory(traj, [Fraction(1)])
     build_sigma(traj, "inf")
-    assert calls == {"rho_hat_grid": len(states), "signed_triple": len(states)}
+    # one spin evaluation (Q(rho1), Q(rho2)) per state feeds both the hats and the triple
+    assert calls == {"rho_hat_grid": len(states), "q_apply": 2 * len(states)}
 
     # a different floor re-evaluates; one at or above min|f| still raises
-    floor = min(float(np.min(np.abs(stability_field(s.rho1, s.rho2)))) for s in states)
     build_sigma(traj, Fraction(1), floor=floor / 2)
-    assert calls == {"rho_hat_grid": 2 * len(states), "signed_triple": 2 * len(states)}
+    assert calls == {"rho_hat_grid": 2 * len(states), "q_apply": 4 * len(states)}
     with pytest.raises(StabilityError):
         build_sigma(traj, Fraction(1), floor=floor)
 
