@@ -9,9 +9,9 @@ so equality is structural and identities can be asserted exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 MAX_DIM = 8
 
@@ -31,15 +31,14 @@ class Chart:
     """
 
     dim: int
-    names: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if not 1 <= self.dim <= MAX_DIM:
             raise ValueError(f"chart dimension must be in 1..{MAX_DIM}, got {self.dim}")
-        if not self.names:
-            object.__setattr__(self, "names", tuple(f"x{i+1}" for i in range(self.dim)))
-        elif len(self.names) != self.dim:
-            raise ValueError("coordinate name count must equal dim")
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(f"x{i+1}" for i in range(self.dim))
 
     def require_same(self, other: "Chart") -> None:
         if self is not other and self != other:
@@ -203,18 +202,6 @@ class Polynomial:
         terms = dict(self.terms) if c == 1 else {e: v * c for e, v in self.terms.items()}
         return Polynomial._clean(self.chart, terms)
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = Polynomial.constant(self.chart, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- calculus ----------------------------------------------------------
 
     def differentiate(self, i: int) -> "Polynomial":
@@ -301,14 +288,6 @@ class Polynomial:
             c = self.terms[exps]
             entries.append({"exponents": list(exps), "coeff": f"{c.numerator}/{c.denominator}"})
         return entries
-
-    @staticmethod
-    def from_json_obj(chart: Chart, obj: Iterable[Mapping]) -> "Polynomial":
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for entry in obj:
-            exps = tuple(int(e) for e in entry["exponents"])
-            terms[exps] = terms.get(exps, Fraction(0)) + as_fraction(entry["coeff"])
-        return Polynomial(chart, terms)
 
     def __repr__(self) -> str:
         if self.is_zero:

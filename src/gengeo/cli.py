@@ -16,6 +16,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .algebra import Chart, Polynomial, random_polynomial
@@ -109,18 +110,16 @@ def identities_suite(dim: int, cases: int, seed: int, max_degree: int = 2) -> Re
             res = one_case()
             if res:
                 bad.extend(res)
-        report.add(check_id, anchor, exact_zero=not bad,
-                   residual="0" if not bad else _max_abs_coeff(bad))
+        report.add(check_id, anchor, exact_zero=not bad, residual=_max_abs_coeff(bad))
 
     def courant_case():
         u, v = random_section(chart, rng, max_degree), random_section(chart, rng, max_degree)
         bad = []
-        for idx_count in range(2):
+        for _ in range(2):
             a = random_mixed_form(chart, rng, max_degree=max_degree)
             r = courant_spinor_residual(u, v, a)
             if not r.is_zero:
                 bad.append(r)
-        from itertools import combinations
         for k in range(dim + 1):
             for idx in combinations(range(dim), k):
                 r = courant_spinor_residual(u, v, MixedForm.basis(chart, idx))
@@ -250,7 +249,7 @@ def skew_torsion_suite(dim: int, metrics: int, points: int, seed: int) -> Report
     diag = [[Polynomial.zero(chart) for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         diag[i][i] = Polynomial.constant(chart, 1) + random_polynomial(
-            chart, rng, max_degree=1, max_terms=1) * Polynomial.constant(chart, "1/4")
+            chart, rng, max_degree=1, max_terms=1) * Fraction(1, 4)
     v = GeneralizedMetric.from_g_and_b(chart, diag)
     deltas = coordinate_deltas(v)
     for i in range(dim):
@@ -280,12 +279,10 @@ def skew_torsion_file(metric_path: str, points_path: str | None) -> Report:
     rep = torsion_check(v, points=pts)
     report.add("skew-torsion", "(Delta_X Y - Delta_Y X)/2 - g[X,Y] = -i_X i_Y dB",
                exact_zero=rep.torsion_matches_minus_h,
-               residual="0" if rep.torsion_matches_minus_h
-               else _max_abs_coeff(rep.torsion_residuals))
+               residual=_max_abs_coeff(rep.torsion_residuals))
     report.add("metric-compatibility", "X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla_X Z)",
                exact_zero=rep.metric_compatible,
-               residual="0" if rep.metric_compatible
-               else _max_abs_coeff(rep.compatibility_residuals))
+               residual=_max_abs_coeff(rep.compatibility_residuals))
     if pts:
         oracle_ok = True
         b_zero = all(v.b_entry(i, j).is_zero
@@ -320,7 +317,7 @@ def twisted_suite(dim: int, cases: int, seed: int, cover_path: str | None = None
         if not r.is_zero:
             bad.append(r)
     report.add("twisted-d-squared", "(d - H)^2 psi = 0 for closed H", exact_zero=not bad,
-               residual="0" if not bad else _max_abs_coeff(bad))
+               residual=_max_abs_coeff(bad))
 
     if cover_path:
         cover = gio.parse_cover(gio.load_json(cover_path))
@@ -390,7 +387,7 @@ def spin55_analyze(rho: RhoPair, points=None) -> Report:
         "f": pair.f.to_json_obj(),
     }
     report.add("stable", "f(rho) != 0 at every sample point", exact_zero=stability.all_stable,
-               residual="0" if stability.all_stable else "f vanishes at a sample point")
+               residual="f vanishes at a sample point")
     if stability.all_stable and stability.orbit_sign is None:
         report.add("orbit", "a single orbit sign across the sample points",
                    exact_zero=False, residual="sign of f varies across points")
@@ -435,7 +432,7 @@ def spin55_analyze(rho: RhoPair, points=None) -> Report:
 
 
 def flow_run_report(config, trajectory_path: str | None, csv_path: str | None) -> Report:
-    from .flow import FlowConfig, StabilityError, mean_mode_invariants, run_flow
+    from .flow import mean_mode_invariants, run_flow
 
     report = Report("flow-run", {**config.__dict__, "diagnostics": list(config.diagnostics)})
     try:
@@ -488,16 +485,13 @@ def sixdim_report(trajectory_path: str, z_text: str | None) -> Report:
     from .flow import Trajectory
     from .sixdim import DEFAULT_Z_SWEEP, SignatureError, check_trajectory, parse_z_list
 
-    try:
-        traj = Trajectory.load(trajectory_path)
-    except FileNotFoundError:
-        raise gio.InputError(f"{trajectory_path}: no such file") from None
-    except IsADirectoryError:
-        raise gio.InputError(f"{trajectory_path}: is a directory") from None
-    except KeyError as e:      # a missing npz member; the message names it
-        raise gio.InputError(f"{trajectory_path}: {e.args[0]}") from None
-    except ValueError as e:    # malformed contents, e.g. a config that is not an object
-        raise gio.InputError(f"{trajectory_path}: {e}") from None
+    with gio.reading(trajectory_path):
+        try:
+            traj = Trajectory.load(trajectory_path)
+        except KeyError as e:      # a missing npz member; the message names it
+            raise gio.InputError(f"{trajectory_path}: {e.args[0]}") from None
+        except ValueError as e:    # malformed contents, e.g. a config that is not an object
+            raise gio.InputError(f"{trajectory_path}: {e}") from None
     z_values = parse_z_list(z_text) if z_text else list(DEFAULT_Z_SWEEP)
     report = Report("sixdim-check",
                     {"trajectory": trajectory_path, "z": [str(z) for z in z_values]})
@@ -522,10 +516,9 @@ def sixdim_report(trajectory_path: str, z_text: str | None) -> Report:
                    residual=float(rep.nullity[z]), passed=rep.nullity[z] >= 2)
         if z in rep.ez:
             ez = rep.ez[z]
-            iso = max(ez.vv_max, ez.vw_max, ez.ww_max, ez.uu_minus_two_max)
             report.add(f"isotropy[z={z}]",
                        "(v,v) = (v,w) = (w,w) = 0 with (u,u) = 2 and (dt-section)^2 = -2",
-                       residual=iso, passed=iso < tol)
+                       residual=ez.isotropy_residual, passed=ez.isotropic)
     report.add("gram-signature", signature_anchor,
                residual=str(rep.signature), passed=rep.signature[:2] == (2, 2))
     report.extra["dsigma"] = rep.dsigma

@@ -51,16 +51,13 @@ class FlowConfig:
     method: str = "spectral"
 
     def __post_init__(self) -> None:
-        """Reject a config that cannot run as asked (ValueError).  dt = 0 is valid:
-        every step then returns its state unchanged."""
+        """Reject a config that cannot run as asked (ValueError).  dt = 0 is valid
+        without the nahm diagnostic: every step then returns its state unchanged."""
         for name, least in (("n", 4), ("steps", 0), ("ring", 3)):
-            value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, numbers.Integral) or value < least:
+            if not _is_int(getattr(self, name)) or getattr(self, name) < least:
                 raise ValueError(f"{'N' if name == 'n' else name} must be an integer >= {least}")
         for name in ("dt", "epsilon", "stability_floor"):
-            value = getattr(self, name)
-            if (type(value) is bool or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
+            if not _is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number")
         if self.stability_floor <= 0:
             raise ValueError("stability_floor must be > 0")
@@ -69,6 +66,13 @@ class FlowConfig:
         unknown = [d for d in self.diagnostics if d not in DIAGNOSTICS]
         if unknown:
             raise ValueError(f"diagnostics: unknown {unknown}; known {list(DIAGNOSTICS)}")
+        if isinstance(self.perturbation, list):
+            for k, entry in enumerate(self.perturbation):
+                _mode_index(k, entry)
+        elif self.perturbation != "default":
+            raise ValueError('perturbation must be "default" or a list of mode objects')
+        if self.dt == 0 and "nahm" in self.diagnostics:
+            raise ValueError("dt must be nonzero for the nahm diagnostic's central differences")
 
     @staticmethod
     def from_json_obj(obj: Mapping) -> "FlowConfig":
@@ -86,6 +90,39 @@ class FlowConfig:
                 raise ValueError("diagnostics must be a list of names")
             kwargs["diagnostics"] = tuple(kwargs["diagnostics"])
         return FlowConfig(**kwargs)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and type(value) is not bool
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and type(value) is not bool and math.isfinite(value)
+
+
+def _mode_index(k: int, entry) -> tuple[int, ...]:
+    """The 0-based odd multi-index of perturbation entry k; ValueError unless the
+    entry is a mode object as ``perturbation_forms`` describes."""
+    where = f"perturbation[{k}]"
+    if not isinstance(entry, Mapping):
+        raise ValueError(f"{where}: expected a mode object")
+    unknown = set(entry) - {"component", "indices", "k", "cos", "sin"}
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    if entry.get("component") not in ("rho1", "rho2"):
+        raise ValueError(f"{where}: component must be 'rho1' or 'rho2'")
+    indices = entry.get("indices")
+    idx = (tuple(i - 1 for i in indices)
+           if isinstance(indices, (list, tuple)) and all(map(_is_int, indices)) else None)
+    pos = form_tables(DIM).pos
+    if idx not in pos or pos[idx][0] != 1:
+        raise ValueError(f"{where}: indices {indices!r} are not an odd multi-index")
+    wave = entry.get("k")
+    if not (isinstance(wave, (list, tuple)) and len(wave) == DIM and all(map(_is_int, wave))):
+        raise ValueError(f"{where}: k must be a list of {DIM} integers")
+    if not all(_is_finite(entry.get(amp, 0.0)) for amp in ("cos", "sin")):
+        raise ValueError(f"{where}: cos and sin must be finite numbers")
+    return idx
 
 
 def lattice_cell_volume(n: int) -> float:
@@ -371,17 +408,15 @@ def perturbation_forms(n: int, modes: Iterable[Mapping]) -> tuple[np.ndarray, np
     """Sample the odd-form pair alpha = (alpha1, alpha2) from mode entries.
 
     Each entry: {"component": "rho1"|"rho2", "indices": 1-based increasing
-    odd multi-index, "k": 5 integers, "cos": amp, "sin": amp}.
+    odd multi-index, "k": 5 integers, "cos": amp, "sin": amp}, with finite
+    amplitudes that default to 0; anything else raises ValueError.
     """
     tables = form_tables(DIM)
     alpha1 = np.zeros((N_COEFF,) + (n,) * DIM)
     alpha2 = np.zeros((N_COEFF,) + (n,) * DIM)
-    for entry in modes:
-        idx = tuple(int(i) - 1 for i in entry["indices"])
-        if idx not in tables.pos or tables.pos[idx][0] != 1:
-            raise ValueError(f"perturbation indices {entry['indices']} are not an odd multi-index")
+    for k, entry in enumerate(modes):
+        slot = tables.pos[_mode_index(k, entry)][1]
         target = alpha1 if entry["component"] == "rho1" else alpha2
-        slot = tables.pos[idx][1]
         target[slot] += _mode_field(n, entry["k"], float(entry.get("cos", 0.0)),
                                     float(entry.get("sin", 0.0)))
     return alpha1, alpha2
@@ -414,7 +449,6 @@ class Trajectory:
     config: FlowConfig
     diagnostics: list[dict] = field(default_factory=list)
     ring: deque = field(default_factory=deque)
-    initial: GridState | None = None
     final: GridState | None = None
 
     def states(self) -> list[GridState]:
@@ -457,7 +491,6 @@ class Trajectory:
         traj = Trajectory(config=config, diagnostics=diagnostics)
         for i, t in enumerate(times):
             traj.ring.append(GridState(n, rho1[i], rho2[i], float(t), dt))
-        traj.initial = traj.ring[0]
         traj.final = traj.ring[-1]
         return traj
 
@@ -466,7 +499,6 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
     """Integrate the flow, collecting per-step diagnostics and a state ring."""
     state = initial_state(config)
     traj = Trajectory(config=config, ring=deque(maxlen=config.ring))
-    traj.initial = state.copy()
     mean0 = mean_modes(state)
 
     def record(s: GridState) -> None:
@@ -567,7 +599,6 @@ class NahmResidual:
     h_residual_lambda0: float
     h_residual_lambda_hh2: float
     lambda_max: float
-    triple_scale: float
 
     @property
     def total(self) -> float:
@@ -590,6 +621,8 @@ def nahm_residual(states: Sequence[GridState], method: str = "spectral",
         raise ValueError("need at least 3 stored states for central differences")
     prev, mid, nxt = states[-3], states[-2], states[-1]
     dt = mid.t - prev.t
+    if dt == 0:
+        raise ValueError("central time differences need dt != 0")
     if not np.isclose(nxt.t - mid.t, dt):
         raise ValueError("states are not uniformly spaced in time")
     n = mid.n
@@ -619,17 +652,15 @@ def nahm_residual(states: Sequence[GridState], method: str = "spectral",
         h_residual_lambda0=grid_norm(rh0, cell),
         h_residual_lambda_hh2=grid_norm(rhp, cell),
         lambda_max=float(np.max(np.abs(lam))),
-        triple_scale=grid_norm(np.concatenate([v1m, hm, v2m]), cell),
     )
 
 
 @dataclass
 class MeanModeReport:
     max_drift: float
-    per_step: list[float]
 
 
 def mean_mode_invariants(traj: Trajectory) -> MeanModeReport:
     """Zero-Fourier-mode drift of every coefficient along the trajectory."""
     drifts = [d.get("mean_mode_drift", 0.0) for d in traj.diagnostics]
-    return MeanModeReport(max_drift=max(drifts, default=0.0), per_step=drifts)
+    return MeanModeReport(max_drift=max(drifts, default=0.0))

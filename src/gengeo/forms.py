@@ -8,9 +8,10 @@ this module also carries the degree-sign involution and the Mukai pairing
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Chart, Polynomial, Rational
+from .algebra import Chart, Polynomial, Rational, random_polynomial
 
 Index = tuple[int, ...]
 
@@ -311,9 +312,6 @@ def vf_bracket(x: VectorField, y: VectorField) -> VectorField:
 def random_mixed_form(chart: Chart, rng, degrees: Iterable[int] | None = None,
                       max_degree: int = 2, max_terms: int = 2) -> MixedForm:
     """Seeded random form with small polynomial coefficients."""
-    from .algebra import random_polynomial
-    from itertools import combinations
-
     if degrees is None:
         degrees = range(chart.dim + 1)
     terms: dict[Index, Polynomial] = {}
@@ -326,7 +324,5 @@ def random_mixed_form(chart: Chart, rng, degrees: Iterable[int] | None = None,
 
 
 def random_vector_field(chart: Chart, rng, max_degree: int = 2) -> VectorField:
-    from .algebra import random_polynomial
-
     return VectorField(chart, [random_polynomial(chart, rng, max_degree=max_degree)
                                for _ in range(chart.dim)])

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import Chart, Polynomial, Rational
+from .algebra import Chart, Polynomial, Rational, random_polynomial
 from .forms import (MixedForm, VectorField, exterior_derivative, interior_product,
-                    lie_derivative, vf_bracket, wedge)
+                    lie_derivative, random_vector_field, vf_bracket, wedge)
 
 
 class GenSection:
@@ -97,11 +97,7 @@ def gv_inner(u: GenSection, v: GenSection) -> Polynomial:
     for i in range(u.chart.dim):
         acc = acc + u.vector.components[i] * v.oneform_component(i)
         acc = acc + v.vector.components[i] * u.oneform_component(i)
-    return acc * _half(u.chart)
-
-
-def _half(chart: Chart) -> Polynomial:
-    return Polynomial.constant(chart, "1/2")
+    return acc * Fraction(1, 2)
 
 
 def clifford_act(u: GenSection, a: MixedForm) -> MixedForm:
@@ -152,7 +148,7 @@ def courant_bracket(u: GenSection, v: GenSection) -> GenSection:
     vec = vf_bracket(x, y)
     form = lie_derivative(x, eta) - lie_derivative(y, xi)
     pairing = interior_product(x, eta) - interior_product(y, xi)
-    form = form - exterior_derivative(pairing).scale(_half(u.chart))
+    form = form - exterior_derivative(pairing).scale(Fraction(1, 2))
     return GenSection(vec, form)
 
 
@@ -178,9 +174,6 @@ def courant_spinor_residual(u: GenSection, v: GenSection, a: MixedForm) -> Mixed
 
 
 def random_section(chart: Chart, rng, max_degree: int = 2) -> GenSection:
-    from .algebra import random_polynomial
-    from .forms import random_vector_field
-
     vec = random_vector_field(chart, rng, max_degree=max_degree)
     xi = MixedForm(chart, {(i,): random_polynomial(chart, rng, max_degree=max_degree)
                            for i in range(chart.dim)})

@@ -7,8 +7,9 @@ and 0-based internally.  Parse errors carry file/line/column context.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .algebra import Chart, Polynomial
 from .forms import MixedForm, VectorField
@@ -22,16 +23,24 @@ class InputError(ValueError):
     """Malformed input file or object."""
 
 
-def load_json(path: str) -> Any:
+@contextmanager
+def reading(path: str) -> Iterator[None]:
+    """Report a missing file or a directory at ``path`` as an InputError."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        yield
     except FileNotFoundError:
         raise InputError(f"{path}: no such file") from None
     except IsADirectoryError:
         raise InputError(f"{path}: is a directory") from None
-    except json.JSONDecodeError as e:
-        raise InputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+
+
+def load_json(path: str) -> Any:
+    with reading(path):
+        try:
+            with open(path) as fh:
+                return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise InputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
 
 
 def _fraction(value, where: str) -> Fraction:
@@ -59,10 +68,6 @@ def parse_polynomial(chart: Chart, obj, where: str = "polynomial") -> Polynomial
     return Polynomial(chart, terms)
 
 
-def polynomial_to_json(p: Polynomial) -> list[dict]:
-    return p.to_json_obj()
-
-
 def parse_mixed_form(chart: Chart, obj, where: str = "form") -> MixedForm:
     if not isinstance(obj, Mapping) or "terms" not in obj:
         raise InputError(f"{where}: expected {{'terms': [...]}}")
@@ -86,7 +91,7 @@ def parse_mixed_form(chart: Chart, obj, where: str = "form") -> MixedForm:
 def mixed_form_to_json(m: MixedForm) -> dict:
     out = []
     for idx in sorted(m.terms, key=lambda i: (len(i), i)):
-        out.append({"indices": [i + 1 for i in idx], "coeff": polynomial_to_json(m.terms[idx])})
+        out.append({"indices": [i + 1 for i in idx], "coeff": m.terms[idx].to_json_obj()})
     return {"terms": out}
 
 
@@ -101,19 +106,16 @@ def parse_gen_section(chart: Chart, obj, where: str = "section") -> GenSection:
     if not isinstance(obj, Mapping):
         raise InputError(f"{where}: expected {{'vector': [...], 'oneform': [...]}}")
     vec = parse_vector_field(chart, obj.get("vector", []), f"{where}.vector")
-    oneform_obj = obj.get("oneform", [])
-    if not isinstance(oneform_obj, list) or len(oneform_obj) != chart.dim:
-        raise InputError(f"{where}.oneform: expected {chart.dim} component polynomials")
-    oneform = MixedForm(chart, {(i,): parse_polynomial(chart, c, f"{where}.oneform[{i}]")
-                                for i, c in enumerate(oneform_obj)})
-    return GenSection(vec, oneform)
+    # the 1-form's dim component polynomials parse like a vector field's
+    xi = parse_vector_field(chart, obj.get("oneform", []), f"{where}.oneform").components
+    return GenSection(vec, MixedForm(chart, {(i,): p for i, p in enumerate(xi)}))
 
 
 def gen_section_to_json(u: GenSection) -> dict:
     n = u.chart.dim
     return {
-        "vector": [polynomial_to_json(u.vector.components[i]) for i in range(n)],
-        "oneform": [polynomial_to_json(u.oneform_component(i)) for i in range(n)],
+        "vector": [u.vector.components[i].to_json_obj() for i in range(n)],
+        "oneform": [u.oneform_component(i).to_json_obj() for i in range(n)],
     }
 
 

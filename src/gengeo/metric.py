@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Chart, Polynomial, Rational, invert_matrix, solve_linear
-from .forms import MixedForm, VectorField, exterior_derivative, vf_bracket
+from .algebra import Chart, Polynomial, Rational, invert_matrix, random_polynomial, solve_linear
+from .forms import MixedForm, VectorField, exterior_derivative, interior_product, vf_bracket
 from .generalized import GenSection, courant_bracket
 
 
@@ -39,12 +39,10 @@ class GeneralizedMetric:
         return GeneralizedMetric(chart, c)
 
     def g_entry(self, i: int, j: int) -> Polynomial:
-        half = Polynomial.constant(self.chart, "1/2")
-        return (self.c[i][j] + self.c[j][i]) * half
+        return (self.c[i][j] + self.c[j][i]) * Fraction(1, 2)
 
     def b_entry(self, i: int, j: int) -> Polynomial:
-        half = Polynomial.constant(self.chart, "1/2")
-        return (self.c[i][j] - self.c[j][i]) * half
+        return (self.c[i][j] - self.c[j][i]) * Fraction(1, 2)
 
     def b_form(self) -> MixedForm:
         """The curving 2-form B = sum_{i<j} B_ij dx_i ^ dx_j."""
@@ -69,41 +67,36 @@ def lift(x: VectorField, sign: str, v: GeneralizedMetric) -> GenSection:
     x.chart.require_same(v.chart)
     n = v.chart.dim
     if sign == "+":
-        comps = {j: sum((x.components[i] * v.c[i][j] for i in range(n)),
-                        Polynomial.zero(v.chart)) for j in range(n)}
+        c = v.c
     elif sign == "-":
-        comps = {j: sum((-(x.components[i] * v.c[j][i]) for i in range(n)),
-                        Polynomial.zero(v.chart)) for j in range(n)}
+        c = [[-v.c[j][i] for j in range(n)] for i in range(n)]
     else:
         raise ValueError("sign must be '+' or '-'")
-    oneform = MixedForm(v.chart, {(j,): p for j, p in comps.items()})
-    return GenSection(x, oneform)
+    zero = Polynomial.zero(v.chart)
+    return GenSection(x, MixedForm(v.chart, {
+        (j,): sum((x.components[i] * c[i][j] for i in range(n)), zero) for j in range(n)}))
 
 
-def delta(x: VectorField, y: VectorField, v: GeneralizedMetric) -> MixedForm:
-    """Delta_X Y = [X-, Y+] - [X,Y]-  (a pure 1-form; vector part must vanish)."""
-    bracket = courant_bracket(lift(x, "-", v), lift(y, "+", v))
-    bracket = bracket - lift(vf_bracket(x, y), "-", v)
+def delta(x: VectorField, y: VectorField, v: GeneralizedMetric,
+          swapped: bool = False) -> MixedForm:
+    """Delta_X Y = [X-, Y+] - [X,Y]-  (a pure 1-form; vector part must vanish).
+
+    ``swapped`` interchanges the roles of V and its complement:
+    [X+, Y-] - [X,Y]+.
+    """
+    outer, inner = ("+", "-") if swapped else ("-", "+")
+    bracket = courant_bracket(lift(x, outer, v), lift(y, inner, v))
+    bracket = bracket - lift(vf_bracket(x, y), outer, v)
     if not bracket.vector.is_zero:
         raise RuntimeError("internal error: Delta_X Y has a nonvanishing vector part")
-    return bracket.oneform
-
-
-def delta_swapped(x: VectorField, y: VectorField, v: GeneralizedMetric) -> MixedForm:
-    """Delta with the roles of V and its complement interchanged."""
-    bracket = courant_bracket(lift(x, "+", v), lift(y, "-", v))
-    bracket = bracket - lift(vf_bracket(x, y), "+", v)
-    if not bracket.vector.is_zero:
-        raise RuntimeError("internal error: swapped Delta_X Y has a nonvanishing vector part")
     return bracket.oneform
 
 
 def coordinate_deltas(v: GeneralizedMetric, swapped: bool = False) -> list[list[MixedForm]]:
     """Delta_{d/dx_i} d/dx_j for all coordinate pairs."""
     n = v.chart.dim
-    dl = delta_swapped if swapped else delta
     fields = [VectorField.coordinate(v.chart, i) for i in range(n)]
-    return [[dl(fields[i], fields[j], v) for j in range(n)] for i in range(n)]
+    return [[delta(fields[i], fields[j], v, swapped) for j in range(n)] for i in range(n)]
 
 
 def connection_at(v: GeneralizedMetric, point: Sequence[Rational],
@@ -185,9 +178,7 @@ def torsion_check(v: GeneralizedMetric, points: Sequence[Sequence[Rational]] | N
     deltas = coordinate_deltas(v, swapped=swapped)
     h = v.h_form()
     sign = 1 if swapped else -1
-    half = Polynomial.constant(v.chart, "1/2")
-
-    from .forms import interior_product
+    half = Fraction(1, 2)
 
     torsion_residuals = []
     for i in range(n):
@@ -206,7 +197,7 @@ def torsion_check(v: GeneralizedMetric, points: Sequence[Sequence[Rational]] | N
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                dg = v.g_entry(j, k).differentiate(i) * Polynomial.constant(v.chart, gsign)
+                dg = v.g_entry(j, k).differentiate(i) * gsign
                 rhs = (deltas[i][j].coefficient((k,)) + deltas[i][k].coefficient((j,))) * half
                 compat_residuals.append(dg - rhs)
 
@@ -227,30 +218,20 @@ def torsion_check(v: GeneralizedMetric, points: Sequence[Sequence[Rational]] | N
 
 
 def _is_positive_definite(g: list[list[Fraction]]) -> bool:
-    # leading principal minors, exact
-    n = len(g)
-    for k in range(1, n + 1):
-        if _det([row[:k] for row in g[:k]]) <= 0:
+    """Exact: Gaussian elimination without row swaps meets only positive pivots.
+
+    The k-th pivot is the ratio of the k-th and (k-1)-th leading principal
+    minors, so this is Sylvester's criterion.
+    """
+    m = [list(row) for row in g]
+    for col, pivot_row in enumerate(m):
+        pivot = pivot_row[col]
+        if pivot <= 0:
             return False
+        for row in m[col + 1:]:
+            factor = row[col] / pivot
+            row[:] = [x - factor * y for x, y in zip(row, pivot_row)]
     return True
-
-
-def _det(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det
 
 
 def random_metric(chart: Chart, rng, eps_degree: int = 1) -> GeneralizedMetric:
@@ -259,8 +240,6 @@ def random_metric(chart: Chart, rng, eps_degree: int = 1) -> GeneralizedMetric:
     The symmetric perturbation has coefficients in 1/8 Z to keep g invertible
     (diagonally dominant) at the small rational sample points used in suites.
     """
-    from .algebra import random_polynomial
-
     n = chart.dim
     zero = Polynomial.zero(chart)
     g = [[zero for _ in range(n)] for _ in range(n)]
@@ -270,7 +249,7 @@ def random_metric(chart: Chart, rng, eps_degree: int = 1) -> GeneralizedMetric:
     for i in range(n):
         for j in range(i, n):
             bump = random_polynomial(chart, rng, max_degree=eps_degree, max_terms=2,
-                                     coeff_bound=1) * Polynomial.constant(chart, "1/8")
+                                     coeff_bound=1) * Fraction(1, 8)
             g[i][j] = g[i][j] + bump
             g[j][i] = g[j][i] + bump
     for i in range(n):

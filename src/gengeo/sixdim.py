@@ -190,8 +190,8 @@ def annihilator_check(s: SigmaSlice) -> tuple[float, float]:
     return float(np.max(np.abs(rv))), float(np.max(np.abs(rw)))
 
 
-def annihilator_nullity(s: SigmaSlice, max_nodes: int = 64) -> int:
-    """Minimum nullity over sampled nodes of the Clifford-action matrix.
+def annihilator_nullity(s: SigmaSlice) -> int:
+    """Minimum nullity of the Clifford-action matrix over about 64 sampled nodes.
 
     Rows are e_a . sigma for the 12 pointwise basis sections; the
     annihilator of sigma(z) must contain span{v(z), w(z)}, so the nullity
@@ -199,7 +199,7 @@ def annihilator_nullity(s: SigmaSlice, max_nodes: int = 64) -> int:
     """
     ft6 = form_tables(DIM6)
     flat = s.sigma.reshape(s.sigma.shape[0], -1)
-    stride = max(1, flat.shape[1] // max_nodes)
+    stride = max(1, flat.shape[1] // 64)
     sigma_nodes = flat[:, ::stride]
     basis = np.zeros((2 * DIM6, sigma_nodes.shape[1]))
     rows = []
@@ -248,6 +248,21 @@ def _triple_signature(triple: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tupl
 # -- slice-sequence checks ---------------------------------------------------------
 
 
+def _central_slices(slices: Sequence[SigmaSlice]
+                    ) -> tuple[SigmaSlice, SigmaSlice, SigmaSlice, float]:
+    """The last three slices and their time step dt; ValueError unless they
+    advance uniformly in time with dt > 0, as central differences need."""
+    if len(slices) < 3:
+        raise ValueError("need at least 3 slices for the time derivative")
+    prev, mid, nxt = slices[-3:]
+    dt = mid.t - prev.t
+    if dt <= 0:
+        raise ValueError(f"time derivatives need slices with dt > 0, got dt = {dt:g}")
+    if not np.isclose(nxt.t - mid.t, dt):
+        raise ValueError("slices are not uniformly spaced in time")
+    return prev, mid, nxt, dt
+
+
 def _time_derivative(arrays: Sequence[np.ndarray], dt: float) -> np.ndarray:
     return (arrays[2] - arrays[0]) / (2 * dt)
 
@@ -287,19 +302,18 @@ class EzReport:
     lambda_max: float
 
     @property
+    def isotropy_residual(self) -> float:
+        """The largest of |(v,v)|, |(v,w)|, |(w,w)| and |(u,u) - 2| over the nodes."""
+        return max(self.vv_max, self.vw_max, self.ww_max, self.uu_minus_two_max)
+
+    @property
     def isotropic(self) -> bool:
-        tol = 1e-10
-        return max(self.vv_max, self.vw_max, self.ww_max) < tol
+        return self.isotropy_residual < 1e-10
 
 
 def ez_check(slices: Sequence[SigmaSlice], method: str = "spectral") -> EzReport:
     """Inner products among {v(z), w(z)} and the [w(z), v(z)] = lambda v(z) residual."""
-    if len(slices) < 3:
-        raise ValueError("need at least 3 slices for the time derivative")
-    prev, mid, nxt = slices[-3:]
-    dt = mid.t - prev.t
-    if dt <= 0 or not np.isclose(nxt.t - mid.t, dt):
-        raise ValueError("slices are not uniformly spaced in time")
+    prev, mid, nxt, dt = _central_slices(slices)
 
     # lambda of the 5-d [v1, v2] is z-independent: once per state and method, and
     # first, so that the kept array is not allocated amid this call's temporaries
@@ -340,10 +354,7 @@ def dsigma_residual(slices: Sequence[SigmaSlice], method: str = "spectral") -> f
     d sigma = d5 rho(z) + dt ^ (d rho(z)/dt - d5 rho_hat(z)); closedness of
     the flow data makes this O(dt^2) plus spatial truncation.
     """
-    if len(slices) < 3:
-        raise ValueError("need at least 3 slices for the time derivative")
-    prev, mid, nxt = slices[-3:]
-    dt = mid.t - prev.t
+    prev, mid, nxt, dt = _central_slices(slices)
     maps = _index_maps()
     ft6 = form_tables(DIM6)
     rho = [s.rho_z for s in (prev, mid, nxt)]

@@ -28,8 +28,8 @@ from typing import Sequence
 
 from .algebra import Chart, Polynomial, Rational
 from .forms import (MixedForm, VectorField, exterior_derivative, interior_product,
-                    lie_derivative, mukai_pairing, vf_bracket, wedge)
-from .generalized import (GenSection, clifford_act, courant_bracket, d_scalar,
+                    lie_derivative, mukai_pairing, random_mixed_form, vf_bracket, wedge)
+from .generalized import (GenSection, bfield_on_form, clifford_act, courant_bracket, d_scalar,
                           gv_inner, pi_derivative)
 
 DIM = 5
@@ -85,8 +85,6 @@ class RhoPair:
                        self.rho1.scale(c) + self.rho2.scale(d))
 
     def bfield(self, b: MixedForm) -> "RhoPair":
-        from .generalized import bfield_on_form
-
         return RhoPair(bfield_on_form(b, self.rho1), bfield_on_form(b, self.rho2))
 
 
@@ -116,15 +114,13 @@ def p_bilinear(phi1: MixedForm, phi2: MixedForm) -> GenSection:
     phi1.chart.require_same(phi2.chart)
     c = phi1.chart
     _require_dim5(c)
-    vec = []
-    one = []
-    for i in range(DIM):
-        dxi = GenSection.from_oneform(MixedForm.basis(c, (i,)))
-        ddi = GenSection.from_vector(VectorField.coordinate(c, i))
-        vec.append(mukai_pairing(clifford_act(dxi, phi1), phi2)
-                   + mukai_pairing(clifford_act(dxi, phi2), phi1))
-        one.append(mukai_pairing(clifford_act(ddi, phi1), phi2)
-                   + mukai_pairing(clifford_act(ddi, phi2), phi1))
+
+    def polarized(u: GenSection) -> Polynomial:
+        return (mukai_pairing(clifford_act(u, phi1), phi2)
+                + mukai_pairing(clifford_act(u, phi2), phi1))
+
+    vec = [polarized(GenSection.from_oneform(MixedForm.basis(c, (i,)))) for i in range(DIM)]
+    one = [polarized(GenSection.from_vector(VectorField.coordinate(c, i))) for i in range(DIM)]
     return GenSection(VectorField(c, vec), MixedForm(c, {(i,): p for i, p in enumerate(one)}))
 
 
@@ -145,40 +141,41 @@ DEFAULT_PROBE_POINTS: tuple[tuple[int, ...], ...] = (
 )
 
 
-def orbit_sign(rho: RhoPair, f: Polynomial | None = None) -> int:
-    """Sign of f on the chart, probed at deterministic rational points.
-
-    Raises StabilityError when every probe point is unstable or the probes
-    disagree (the pair crosses the orbit boundary).
-    """
-    f = quartic_invariant(rho) if f is None else f
-    signs = set()
-    for pt in DEFAULT_PROBE_POINTS:
-        value = f.evaluate(pt)
-        if value:
-            signs.add(1 if value > 0 else -1)
-    if not signs:
-        raise StabilityError("f vanishes at all probe points; pair is not stable")
-    if len(signs) > 1:
-        raise StabilityError("f changes sign across probe points; no single orbit")
-    return signs.pop()
-
-
 @dataclass
 class StabilityReport:
+    """f at each sample point; stable where f != 0, with sign f as the orbit discriminant."""
+
     points: list[tuple]
     values: list[Fraction]
-    stable: list[bool]
-    orbit_signs: list[int]
 
     @property
     def all_stable(self) -> bool:
-        return all(self.stable)
+        return all(self.values)
+
+    def sign(self) -> int:
+        """The one sign of f over the stable points.
+
+        Raises StabilityError when f vanishes at every point or changes sign
+        (the pair crosses the orbit boundary).
+        """
+        signs = {1 if v > 0 else -1 for v in self.values if v}
+        if not signs:
+            raise StabilityError("f vanishes at all probe points; pair is not stable")
+        if len(signs) > 1:
+            raise StabilityError("f changes sign across probe points; no single orbit")
+        return signs.pop()
 
     @property
     def orbit_sign(self) -> int | None:
-        signs = {s for s, ok in zip(self.orbit_signs, self.stable) if ok}
-        return signs.pop() if len(signs) == 1 else None
+        try:
+            return self.sign()
+        except StabilityError:
+            return None
+
+
+def _probe(f: Polynomial, points: Sequence[Sequence[Rational]]) -> StabilityReport:
+    pts = [tuple(p) for p in points]
+    return StabilityReport(pts, [f.evaluate(p) for p in pts])
 
 
 def volume_density_poly(rho: RhoPair) -> Polynomial | None:
@@ -294,7 +291,7 @@ class PairAnalysis:
     @cached_property
     def signed(self) -> tuple[Polynomial, int]:
         """(q, s) with q = s*f positive on the orbit; phi^2 = q."""
-        s = orbit_sign(self.rho, self.f)
+        s = _probe(self.f, DEFAULT_PROBE_POINTS).sign()
         return (self.f if s > 0 else -self.f), s
 
     @cached_property
@@ -363,15 +360,7 @@ def _analysis(rho: RhoPair | PairAnalysis) -> PairAnalysis:
 def is_stable(rho: RhoPair | PairAnalysis,
               points: Sequence[Sequence[Rational]] | None = None) -> StabilityReport:
     """f != 0 per point, with the sign of f as orbit discriminant."""
-    f = _analysis(rho).f
-    pts = [tuple(p) for p in (points or DEFAULT_PROBE_POINTS)]
-    values = [f.evaluate(p) for p in pts]
-    return StabilityReport(
-        points=pts,
-        values=values,
-        stable=[bool(v) for v in values],
-        orbit_signs=[(1 if v > 0 else -1 if v < 0 else 0) for v in values],
-    )
+    return _probe(_analysis(rho).f, points or DEFAULT_PROBE_POINTS)
 
 
 def signed_quartic(rho: RhoPair | PairAnalysis) -> tuple[Polynomial, int]:
@@ -407,43 +396,35 @@ class CommutingReport:
                 and all(f.is_zero for f in self.volume_preserving_residuals.values()))
 
 
-def _cleared_bracket(qi: GenSection, qj: GenSection, q: Polynomial) -> GenSection:
-    """q^2 [Q_i/sqrt q, Q_j/sqrt q] as a rational section."""
-    half = Fraction(1, 2)
-    out = courant_bracket(qi, qj).scale(q)
-    out = out + qi.scale(pi_derivative(qj, q)).scale(half)
-    out = out - qj.scale(pi_derivative(qi, q)).scale(half)
-    return out
-
-
-def _cleared_lie_residual(qi: GenSection, q: Polynomial, target: MixedForm) -> MixedForm:
-    """q^(3/2) (L_{X_i} target + d xi_i ^ target) as a rational form."""
-    dq = d_scalar(q)
-    out = lie_derivative(qi.vector, target) + wedge(exterior_derivative(qi.oneform), target)
-    out = out.scale(q)
-    out = out - wedge(dq, clifford_act(qi, target)).scale(Polynomial.constant(q.chart, "1/2"))
-    return out
-
-
 def commuting_triple_check(rho: RhoPair | PairAnalysis) -> CommutingReport:
     """Pairwise Courant brackets of the triple, the invariance equations
     L_{X_i} rho + d xi_i ^ rho = 0, and d(i_{X_i} vol) = 0, all exact.
 
     All three families hold when rho is critical; for non-critical rho the
-    residuals are reported, not raised.
+    residuals are reported, not raised.  The bracket residuals are
+    q^2 [Q_i/sqrt q, Q_j/sqrt q] and the invariance residuals
+    q^(3/2) (L_{X_i} rho + d xi_i ^ rho), both rational; dq and each
+    pi(Q_i) q are computed once.
     """
     analysis = _analysis(rho)
     rho = analysis.rho
     triple = analysis.v_triple
     q = triple.q
+    dq = d_scalar(q)
     names = ("v1", "h", "v2")
     sections = (triple.v1_dens, triple.h_dens, triple.v2_dens)
+    pi_q = [pi_derivative(sec, q) for sec in sections]
+    half = Fraction(1, 2)
 
-    brackets = {f"[{names[i]},{names[j]}]": _cleared_bracket(sections[i], sections[j], q)
-                for i, j in ((0, 1), (0, 2), (1, 2))}
-    lies = {f"L_{name}({label})": _cleared_lie_residual(sec, q, target)
-            for name, sec in zip(names, sections)
-            for label, target in (("rho1", rho.rho1), ("rho2", rho.rho2))}
+    brackets = {f"[{names[i]},{names[j]}]": (
+        courant_bracket(sections[i], sections[j]).scale(q)
+        + sections[i].scale(pi_q[j]).scale(half) - sections[j].scale(pi_q[i]).scale(half))
+        for i, j in ((0, 1), (0, 2), (1, 2))}
+    lies = {f"L_{name}({label})": (
+        (lie_derivative(sec.vector, target) + wedge(exterior_derivative(sec.oneform), target))
+        .scale(q) - wedge(dq, clifford_act(sec, target)).scale(half))
+        for name, sec in zip(names, sections)
+        for label, target in (("rho1", rho.rho1), ("rho2", rho.rho2))}
     vol = MixedForm.volume(rho.chart)
     volumes = {f"d(i_X_{name} vol)": exterior_derivative(interior_product(sec.vector, vol))
                for name, sec in zip(names, sections)}
@@ -631,7 +612,5 @@ def volume_gradient_check(rho: RhoPair, rho_dot: RhoPair, point: Sequence[Ration
 
 
 def random_rho_pair(chart: Chart, rng, max_degree: int = 1) -> RhoPair:
-    from .forms import random_mixed_form
-
     return RhoPair(random_mixed_form(chart, rng, degrees=(0, 2, 4), max_degree=max_degree),
                    random_mixed_form(chart, rng, degrees=(0, 2, 4), max_degree=max_degree))

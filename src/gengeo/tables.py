@@ -81,16 +81,6 @@ class FormTables:
                 out[dst] -= section[slot] * form[src]
         return out
 
-    def mukai_apply(self, a: np.ndarray, b: np.ndarray, parity_a: int, parity_b: int) -> np.ndarray:
-        entries = self.mukai.get((parity_a, parity_b), [])
-        out = np.zeros(a.shape[1:], dtype=a.dtype)
-        for i, j, sign in entries:
-            if sign == 1:
-                out += a[i] * b[j]
-            else:
-                out -= a[i] * b[j]
-        return out
-
     def d_apply(self, form: np.ndarray, parity: int,
                 derivative: Callable[[np.ndarray, int, np.ndarray], object]) -> np.ndarray:
         """d(form) in one pass over ext: derivative(form[src], i, term) writes each
@@ -115,10 +105,8 @@ class QTables:
     q_pairs[slot] is the same sum with the (a, b) and (b, a) terms merged.
     """
 
-    def __init__(self, dim: int = 5):
-        if dim != 5:
-            raise ValueError("Q tables are five-dimensional")
-        self.dim = dim
+    def __init__(self):
+        self.dim = dim = 5
         forms = form_tables(dim)
         self.forms = forms
         # e_s . e_a = sign * (odd c), and <odd c, even b> is nonzero only for the
@@ -176,4 +164,4 @@ def form_tables(dim: int) -> FormTables:
 
 @lru_cache(maxsize=None)
 def q_tables() -> QTables:
-    return QTables(5)
+    return QTables()

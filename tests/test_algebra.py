@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gengeo.algebra import (Chart, ChartMismatchError, Polynomial, invert_matrix,
                             random_polynomial, solve_linear)
+from gengeo.io import parse_polynomial
 
 
 def chart(n=3):
@@ -105,7 +106,7 @@ def test_json_round_trip():
     c = chart()
     rng = random.Random(11)
     p = random_polynomial(c, rng, max_degree=3, max_terms=4)
-    assert Polynomial.from_json_obj(c, p.to_json_obj()) == p
+    assert parse_polynomial(c, p.to_json_obj()) == p
 
 
 def test_solve_linear_exact():

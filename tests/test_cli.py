@@ -227,6 +227,9 @@ def test_non_object_flow_config_exit_2(tmp_path, capsys):
     assert f"{bad}: flow config must be a JSON object" in capsys.readouterr().err
 
 
+MODE = {"component": "rho1", "indices": [3], "k": [1, 0, 0, 0, 0], "cos": 1.0, "sin": 0.0}
+
+
 @pytest.mark.parametrize("bad, field", [
     ({"steps": -3}, "steps"),                        # ran zero steps and passed
     ({"steps": 1.5}, "steps"),                       # TypeError traceback
@@ -236,8 +239,22 @@ def test_non_object_flow_config_exit_2(tmp_path, capsys):
     ({"epsilon": float("inf")}, "epsilon"),          # failed as a stability check
     ({"diagnostics": ["hamiltonain"]}, "diagnostics"),   # silently ignored
     ({"diagnostics": "nahm"}, "diagnostics"),        # read as the letters n, a, h, m
+    ({"perturbation": [1]}, "perturbation"),         # TypeError traceback
+    ({"perturbation": "none"}, "perturbation"),      # TypeError traceback
+    ({"perturbation": [{**MODE, "k": [1, 0]}]}, "perturbation"),    # ran, zipped against 5 axes
+    ({"perturbation": [{**MODE, "k": [1, 0, 0, 0, 0.5]}]}, "perturbation"),
+    ({"perturbation": [{**MODE, "component": "rho3"}]}, "perturbation"),    # read as rho2
+    ({"perturbation": [{**MODE, "indices": [1, 2]}]}, "perturbation"),     # even index
+    ({"perturbation": [{**MODE, "indices": 3}]}, "perturbation"),
+    ({"perturbation": [{**MODE, "cos": float("nan")}]}, "perturbation"),
+    ({"perturbation": [{**MODE, "sin": "1"}]}, "perturbation"),
+    ({"perturbation": [{**MODE, "phase": 1}]}, "perturbation"),
 ], ids=["negative-steps", "fractional-steps", "fractional-N", "negative-floor", "nan-dt",
-        "infinite-epsilon", "unknown-diagnostic", "diagnostics-not-a-list"])
+        "infinite-epsilon", "unknown-diagnostic", "diagnostics-not-a-list",
+        "perturbation-entry-not-object", "perturbation-not-list", "perturbation-short-k",
+        "perturbation-fractional-k", "perturbation-unknown-component",
+        "perturbation-even-indices", "perturbation-indices-not-list", "perturbation-nan-cos",
+        "perturbation-string-sin", "perturbation-unknown-key"])
 def test_invalid_flow_config_exit_2(tmp_path, capsys, bad, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"N": 4, "steps": 1, **bad}))    # NaN / Infinity literals
@@ -253,6 +270,33 @@ def test_zero_dt_flow_config_is_valid(tmp_path):
     out = tmp_path / "r.json"
     assert run_cli(["flow", "run", "--config", str(cfg), "--out", str(out)]) == 0
     assert read(out)["times"] == [0, 0, 0]
+
+
+def test_custom_perturbation_runs(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 4, "steps": 1, "perturbation": [MODE, {**MODE, "k": [0] * 5}]}))
+    assert run_cli(["flow", "run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_zero_dt_with_nahm_exit_2(tmp_path, capsys):
+    # the central differences of the nahm residual divided by 2 dt = 0: nan, exit 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 4, "steps": 3, "dt": 0, "diagnostics": ["nahm"]}))
+    out = tmp_path / "r.json"
+    assert run_cli(["flow", "run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {cfg}: dt must be nonzero for the nahm diagnostic" in err
+    assert not out.exists()
+
+
+def test_sixdim_check_zero_dt_trajectory_names_dt(tmp_path, capsys):
+    # the slices of a dt = 0 run are uniformly spaced (all at t = 0), so the old
+    # "not uniformly spaced" message was false: the time derivatives need dt > 0
+    traj = _flow_trajectory(tmp_path, dt=0)
+    assert run_cli(["sixdim", "check", "--trajectory", str(traj)]) == 2
+    err = capsys.readouterr().err
+    assert "time derivatives need slices with dt > 0, got dt = 0" in err
+    assert "uniformly spaced" not in err
 
 
 def test_spin55_analyze_late_stability_error_is_failed_check(tmp_path, monkeypatch):
@@ -304,7 +348,7 @@ def test_io_round_trips():
     rng = random.Random(11)
     chart = Chart(3)
     p = random_polynomial(chart, rng)
-    assert gio.parse_polynomial(chart, gio.polynomial_to_json(p)) == p
+    assert gio.parse_polynomial(chart, p.to_json_obj()) == p
     m = random_mixed_form(chart, rng)
     assert gio.parse_mixed_form(chart, gio.mixed_form_to_json(m)) == m
     u = random_section(chart, rng)

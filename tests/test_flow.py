@@ -228,6 +228,13 @@ def test_nahm_requires_three_states():
         nahm_residual(traj.states())
 
 
+def test_nahm_rejects_zero_dt():
+    # three states at one time: the central differences were 0/0 (nan, RuntimeWarning)
+    s = initial_state(small_cfg(dt=0.0))
+    with pytest.raises(ValueError, match="dt != 0"):
+        nahm_residual([s, s.copy(), s.copy()])
+
+
 def test_nahm_per_step_diagnostics():
     cfg = small_cfg(steps=4, diagnostics=("hamiltonian", "nahm"))
     traj = run_flow(cfg)

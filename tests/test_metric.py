@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gengeo.algebra import Chart, Polynomial
 from gengeo.forms import MixedForm, VectorField, interior_product
 from gengeo.generalized import GenSection, gv_inner
-from gengeo.metric import (GeneralizedMetric, christoffel_classical_at, connection_at,
-                           coordinate_deltas, delta, lift, random_metric, torsion_check)
+from gengeo.metric import (GeneralizedMetric, _is_positive_definite, christoffel_classical_at,
+                           connection_at, coordinate_deltas, delta, lift, random_metric,
+                           torsion_check)
 
 
 def c3():
@@ -185,3 +187,62 @@ def test_singular_g_raises():
     v = GeneralizedMetric(c, [[zero] * 3 for _ in range(3)])
     with pytest.raises(ZeroDivisionError):
         connection_at(v, [0, 0, 0])
+
+
+# -- positive definiteness ------------------------------------------------------
+
+
+def _leading_minors_positive(g):
+    """Reference: every leading principal minor > 0, each a determinant by elimination
+    with row swaps (the rule the single swap-free elimination replaced)."""
+    def det(m):
+        n = len(m)
+        m = [row[:] for row in m]
+        d = Fraction(1)
+        for col in range(n):
+            pivot = next((r for r in range(col, n) if m[r][col]), None)
+            if pivot is None:
+                return Fraction(0)
+            if pivot != col:
+                m[col], m[pivot] = m[pivot], m[col]
+                d = -d
+            d *= m[col][col]
+            for r in range(col + 1, n):
+                factor = m[r][col] / m[col][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+        return d
+
+    return all(det([row[:k] for row in g[:k]]) > 0 for k in range(1, len(g) + 1))
+
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices: B B^T + shift I is definite for rank(B) = n and
+    shift >= 0, singular for rank(B) < n and shift = 0, indefinite or singular for
+    shift < 0, and an unstructured symmetric matrix covers the rest."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["gram", "gram-low-rank", "shifted", "plain"]))
+    if kind == "plain":
+        entries = {(i, j): draw(rationals) for i in range(n) for j in range(i, n)}
+        return [[entries[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    rank = n - 1 if kind == "gram-low-rank" else n
+    b = [[draw(rationals) for _ in range(rank)] for _ in range(n)]
+    shift = draw(rationals) if kind == "shifted" else Fraction(0)
+    return [[sum((b[i][k] * b[j][k] for k in range(rank)), Fraction(0)) + (shift if i == j else 0)
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_positive_definite_matches_leading_minors(g):
+    assert _is_positive_definite(g) == _leading_minors_positive(g)
+
+
+def test_positive_definite_cases():
+    assert _is_positive_definite([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]])
+    assert not _is_positive_definite([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]])
+    assert not _is_positive_definite([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
+    assert not _is_positive_definite([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]])

@@ -10,7 +10,7 @@ from gengeo.generalized import (GenSection, bfield_on_form, bfield_on_section, c
                                 courant_bracket, gv_inner)
 from gengeo.spin55 import (GRAM_HH, GRAM_V1V2, GenericData, PairAnalysis,
                            GenericDataError, RhoPair, StabilityError, commuting_triple_check,
-                           decompose, generic_structure, is_stable, normal_form, orbit_sign,
+                           decompose, generic_structure, is_stable, normal_form,
                            p_bilinear, q_vector, quartic_invariant, random_rho_pair,
                            remark_triple, rho_hat, signed_quartic, v_triple,
                            validate_generic_data, variational_residual, vector_from_four_form,
@@ -150,13 +150,34 @@ def test_stability_normal_form():
     assert report.orbit_sign == -1
 
 
+def test_commuting_triple_check_evaluates_dq_and_pi_q_once(monkeypatch):
+    from gengeo import spin55
+
+    pair = PairAnalysis(normal_form())
+    pair.v_triple, pair.variational_residual    # evaluated before the spies go in
+    calls = {"d_scalar": 0, "pi_derivative": 0}
+
+    def spy(name):
+        real = getattr(spin55, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(spin55, name, spy(name))
+    assert commuting_triple_check(pair).all_zero
+    assert calls == {"d_scalar": 1, "pi_derivative": 3}
+
+
 def test_unstable_cases():
     nf = normal_form()
     equal = RhoPair(nf.rho1, nf.rho1)
     assert quartic_invariant(equal).is_zero
     assert not is_stable(equal).all_stable
-    with pytest.raises(StabilityError):
-        orbit_sign(equal)
+    with pytest.raises(StabilityError, match="f vanishes at all probe points"):
+        signed_quartic(equal)
     zero = RhoPair(MixedForm.zero(nf.chart), MixedForm.zero(nf.chart))
     assert not is_stable(zero).all_stable
 

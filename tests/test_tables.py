@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gengeo.algebra import Chart
-from gengeo.forms import mukai_pairing, random_mixed_form
+from gengeo.forms import random_mixed_form
 from gengeo.generalized import clifford_act, gv_inner, random_section
 from gengeo.spin55 import p_bilinear, q_vector
 from gengeo.tables import form_tables, q_tables, section_inner
@@ -50,17 +50,6 @@ def test_clifford_tables_match_symbolic(dim):
                                         parity)
         symbolic = form_to_vec(tables, clifford_act(u, phi), 1 - parity, pt)
         assert np.allclose(numeric, symbolic)
-
-
-def test_mukai_tables_match_symbolic():
-    tables = form_tables(5)
-    c = Chart(5)
-    rng = random.Random(17)
-    odd = random_mixed_form(c, rng, degrees=(1, 3, 5))
-    even = random_mixed_form(c, rng, degrees=(0, 2, 4))
-    numeric = tables.mukai_apply(form_to_vec(tables, odd, 1, PT),
-                                 form_to_vec(tables, even, 0, PT), 1, 0)
-    assert np.allclose(numeric, float(mukai_pairing(odd, even).evaluate(PT)))
 
 
 def test_q_and_p_tables_match_symbolic():
