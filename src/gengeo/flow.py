@@ -54,7 +54,8 @@ class FlowConfig:
         """Reject a config that cannot run as asked (ValueError).  dt = 0 is valid
         without the nahm diagnostic: every step then returns its state unchanged."""
         for name, least in (("n", 4), ("steps", 0), ("ring", 3)):
-            if not _is_int(getattr(self, name)) or getattr(self, name) < least:
+            value = getattr(self, name)
+            if not _is_int(value) or value < least:
                 raise ValueError(f"{'N' if name == 'n' else name} must be an integer >= {least}")
         for name in ("dt", "epsilon", "stability_floor"):
             if not _is_finite(getattr(self, name)):
