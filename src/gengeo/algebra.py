@@ -1,9 +1,12 @@
 """Exact coefficient arithmetic on coordinate charts.
 
 Sparse multivariate polynomials over Q: the coefficient ring for every
-symbolic object in the package.  Coefficients are `fractions.Fraction`,
-exponent multi-indices are tuples, and no zero coefficient is ever stored,
-so equality is structural and identities can be asserted exactly.
+symbolic object in the package.  A polynomial stores integer numerators
+over one common denominator, in lowest terms, so every coefficient
+operation is integer arithmetic; exponent multi-indices are tuples, and no
+zero numerator is ever stored, so equality is structural and identities
+can be asserted exactly.  `Polynomial.terms` views the coefficients as
+`fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence, Union
 
 MAX_DIM = 8
@@ -58,12 +62,16 @@ def as_fraction(value: Rational) -> Fraction:
 
 
 class Polynomial:
-    """Sparse polynomial: {exponent tuple -> nonzero Fraction}."""
+    """Sparse polynomial: {exponent tuple -> nonzero int} over one denominator.
 
-    __slots__ = ("chart", "terms")
+    The coefficient of x^e is ``nums[e] / den`` with ``den >= 1`` and
+    ``gcd(den, *nums.values()) == 1``; the zero polynomial has ``den == 1``.
+    That form is unique, so equality and hashing are structural.
+    """
+
+    __slots__ = ("chart", "nums", "den")
 
     def __init__(self, chart: Chart, terms: Mapping[tuple[int, ...], Rational] | None = None):
-        self.chart = chart
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
@@ -80,64 +88,86 @@ class Polynomial:
                         clean[exps] = c
                     elif acc is not None:
                         del clean[exps]
-        self.terms = clean
+        # over the lcm of the reduced denominators, the numerators share no factor with den
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self.chart = chart
+        self.nums = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def _clean(chart: Chart, terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
-        """Wrap terms that already hold valid exponents and no zero coefficient."""
+    def _make(chart: Chart, nums: dict[tuple[int, ...], int], den: int) -> "Polynomial":
+        """Wrap nonzero numerators of valid exponents over den >= 1, reduced to lowest terms."""
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {e: n // g for e, n in nums.items()}
+                den //= g
         p = Polynomial.__new__(Polynomial)
-        p.chart, p.terms = chart, terms
+        p.chart, p.nums, p.den = chart, nums, den
         return p
 
     @staticmethod
     def zero(chart: Chart) -> "Polynomial":
-        return Polynomial(chart)
+        return Polynomial._make(chart, {}, 1)
 
     @staticmethod
     def constant(chart: Chart, value: Rational) -> "Polynomial":
-        return Polynomial(chart, {(0,) * chart.dim: as_fraction(value)})
+        return Polynomial.monomial(chart, (0,) * chart.dim, value)
 
     @staticmethod
     def coordinate(chart: Chart, i: int) -> "Polynomial":
         chart.check_index(i)
         exps = [0] * chart.dim
         exps[i] = 1
-        return Polynomial(chart, {tuple(exps): Fraction(1)})
+        return Polynomial._make(chart, {tuple(exps): 1}, 1)
 
     @staticmethod
     def monomial(chart: Chart, exps: Sequence[int], coeff: Rational = 1) -> "Polynomial":
-        return Polynomial(chart, {tuple(exps): as_fraction(coeff)})
+        c = as_fraction(coeff)
+        return Polynomial._make(chart, {tuple(exps): c.numerator} if c else {}, c.denominator)
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """A fresh {exponent tuple -> nonzero Fraction} copy of the coefficients."""
+        den = self.den
+        return {e: Fraction(n, den) for e, n in self.nums.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
+
+    def _constant_num(self) -> int | None:
+        """The numerator of a constant polynomial (0 for zero), else None."""
+        nums = self.nums
+        if not nums:
+            return 0
+        if len(nums) == 1:
+            exps, n = next(iter(nums.items()))
+            if not any(exps):
+                return n
+        return None
 
     def constant_value(self) -> Fraction | None:
         """The value of a constant polynomial, else None."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1:
-            exps, c = next(iter(self.terms.items()))
-            if not any(exps):
-                return c
-        return None
+        n = self._constant_num()
+        return None if n is None else Fraction(n, self.den)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self.chart == other.chart and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.terms == Polynomial.constant(self.chart, other).terms
-        return NotImplemented
+            other = Polynomial.constant(self.chart, other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.chart == other.chart and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.chart, frozenset(self.terms.items())))
+        return hash((self.chart, self.den, frozenset(self.nums.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -149,20 +179,31 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = out.get(exps)
-            s = c if acc is None else acc + c
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
+        den, oden = self.den, other.den
+        mine = scale = 1
+        if den != oden:
+            g = math.gcd(den, oden)
+            mine, scale = oden // g, den // g      # den * mine == oden * scale == lcm
+            den *= mine
+        out = dict(self.nums) if mine == 1 else {e: n * mine for e, n in self.nums.items()}
+        theirs = other.nums if scale == 1 else {e: n * scale for e, n in other.nums.items()}
+        for e, n in theirs.items():
+            acc = out.get(e)
+            s = n if acc is None else acc + n
             if s:
-                out[exps] = s
+                out[e] = s
             elif acc is not None:
-                del out[exps]
-        return Polynomial._clean(self.chart, out)
+                del out[e]
+        return Polynomial._make(self.chart, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._clean(self.chart, {e: -c for e, c in self.terms.items()})
+        return Polynomial._make(self.chart, {e: -n for e, n in self.nums.items()}, self.den)
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -172,49 +213,48 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            return self._scaled(as_fraction(other))
+            c = as_fraction(other)
+            return self._scaled(c.numerator, c.denominator)
         self.chart.require_same(other.chart)
         for factor, const in ((self, other), (other, self)):
-            c = const.constant_value()      # a constant factor scales the other's terms
-            if c is not None:
-                return factor._scaled(c)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                acc = out.get(e)
-                s = c if acc is None else acc + c
-                if s:
-                    out[e] = s
-                elif acc is not None:
-                    del out[e]
-        return Polynomial._clean(self.chart, out)
+            n = const._constant_num()      # a constant factor scales the other's terms
+            if n is not None:
+                return factor._scaled(n, const.den)
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for e1, n1 in self.nums.items():
+            for e2, n2 in other.nums.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + n1 * n2
+        if 0 in out.values():
+            out = {e: n for e, n in out.items() if n}
+        return Polynomial._make(self.chart, out, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def _scaled(self, c: Fraction) -> "Polynomial":
-        """c * self; exact, since a nonzero c times a nonzero term is nonzero."""
-        if c == -1:
+    def _scaled(self, n: int, d: int) -> "Polynomial":
+        """(n/d) * self for d >= 1; exact, since a nonzero n times a nonzero term is nonzero."""
+        if n == d:
+            return self
+        if n == -d:
             return -self
-        if not c:
+        if not n:
             return Polynomial.zero(self.chart)
-        terms = dict(self.terms) if c == 1 else {e: v * c for e, v in self.terms.items()}
-        return Polynomial._clean(self.chart, terms)
+        return Polynomial._make(self.chart, {e: v * n for e, v in self.nums.items()}, self.den * d)
 
     # -- calculus ----------------------------------------------------------
 
     def differentiate(self, i: int) -> "Polynomial":
         """Exact partial derivative with respect to x_{i+1} (0-based i)."""
         self.chart.check_index(i)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
+        out: dict[tuple[int, ...], int] = {}
+        for exps, n in self.nums.items():
             k = exps[i]
             if k:
                 e = list(exps)
                 e[i] = k - 1
-                out[tuple(e)] = c * k
-        return Polynomial._clean(self.chart, out)
+                out[tuple(e)] = n * k
+        return Polynomial._make(self.chart, out, self.den)
 
     def evaluate(self, point: Sequence[Rational]) -> Fraction:
         """Exact value at a rational point."""
@@ -222,19 +262,19 @@ class Polynomial:
             raise ValueError(f"point has {len(point)} coordinates, chart has {self.chart.dim}")
         pt = [as_fraction(x) for x in point]
         total = Fraction(0)
-        for exps, c in self.terms.items():
-            v = c
+        for exps, n in self.nums.items():
+            v = n
             for x, e in zip(pt, exps):
                 if e:
                     v *= x**e
             total += v
-        return total
+        return total / self.den
 
     # -- lexicographic leading data (for exact division / square roots) ----
 
     def _leading(self) -> tuple[tuple[int, ...], Fraction]:
-        exps = max(self.terms)
-        return exps, self.terms[exps]
+        exps = max(self.nums)
+        return exps, Fraction(self.nums[exps], self.den)
 
     def exact_divide(self, divisor: "Polynomial") -> "Polynomial | None":
         """Return self/divisor when it is again a polynomial, else None."""
@@ -267,25 +307,24 @@ class Polynomial:
         c = _fraction_sqrt(lc)
         if c is None:
             return None
-        root = Polynomial.monomial(self.chart, tuple(e // 2 for e in le), c)
+        half = tuple(e // 2 for e in le)
+        root = Polynomial.monomial(self.chart, half, c)
         rem = self - root * root
-        twice_lead = Polynomial.monomial(self.chart, tuple(e // 2 for e in le), 2 * c)
         while not rem.is_zero:
             re, rc = rem._leading()
-            exps = tuple(a - b for a, b in zip(re, tuple(e // 2 for e in le)))
+            exps = tuple(a - b for a, b in zip(re, half))
             if any(e < 0 for e in exps):
                 return None
             t = Polynomial.monomial(self.chart, exps, rc / (2 * c))
+            rem = rem - (root * 2 + t) * t      # (root + t)^2 = root^2 + (2 root + t) t
             root = root + t
-            rem = rem - t * twice_lead - t * t
         return root
 
     # -- serialization -----------------------------------------------------
 
     def to_json_obj(self) -> list[dict]:
         entries = []
-        for exps in sorted(self.terms):
-            c = self.terms[exps]
+        for exps, c in sorted(self.terms.items()):
             entries.append({"exponents": list(exps), "coeff": f"{c.numerator}/{c.denominator}"})
         return entries
 
@@ -293,8 +332,7 @@ class Polynomial:
         if self.is_zero:
             return "0"
         parts = []
-        for exps in sorted(self.terms, reverse=True):
-            c = self.terms[exps]
+        for exps, c in sorted(self.terms.items(), reverse=True):
             mono = "*".join(
                 f"{self.chart.names[i]}^{e}" if e > 1 else self.chart.names[i]
                 for i, e in enumerate(exps)

@@ -181,9 +181,11 @@ def parse_points(obj, dim: int, where: str = "points") -> list[list[Fraction]]:
         obj = obj.get("points")
     if not isinstance(obj, list):
         raise InputError(f"{where}: expected {{'points': [[...], ...]}}")
+    if not obj:
+        raise InputError(f"{where}: expected at least one point")
     out = []
     for k, pt in enumerate(obj):
-        if len(pt) != dim:
-            raise InputError(f"{where}[{k}]: expected {dim} coordinates")
+        if not isinstance(pt, list) or len(pt) != dim:
+            raise InputError(f"{where}[{k}]: expected a list of {dim} coordinates")
         out.append([_fraction(x, f"{where}[{k}][{i}]") for i, x in enumerate(pt)])
     return out

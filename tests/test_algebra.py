@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -97,6 +98,8 @@ def test_exact_divide_and_sqrt():
     assert (x1 * x2).exact_divide(x1 + x2) is None
     sq = (x1 * 2 + x2 * x2) * (x1 * 2 + x2 * x2)
     assert sq.sqrt() == x1 * 2 + x2 * x2
+    trinomial = x1 * x1 + x1 + 1        # the root's own cross terms enter the remainder
+    assert (trinomial * trinomial).sqrt() == trinomial
     assert (x1 * x2).sqrt() is None
     assert Polynomial.constant(c, Fraction(9, 4)).sqrt() == Polynomial.constant(c, Fraction(3, 2))
     assert Polynomial.constant(c, 8).sqrt() is None
@@ -172,3 +175,82 @@ def test_scaling_never_aliases_and_rejects_other_charts():
         p * Polynomial.constant(Chart(2), 3)
     with pytest.raises(TypeError):
         p * 0.5
+
+
+# -- integer numerators over one denominator, against per-term Fraction loops ----------
+
+
+def reference_add(a, b):
+    """Per-term Fraction sum of two {exponents: Fraction} dicts, dropping zeros."""
+    out = dict(a)
+    for exps, c in b.items():
+        acc = out.get(exps)
+        s = c if acc is None else acc + c
+        if s:
+            out[exps] = s
+        elif acc is not None:
+            del out[exps]
+    return out
+
+
+def reference_scaled(a, c):
+    return {e: v * c for e, v in a.items()} if c else {}
+
+
+def reference_differentiate(a, i):
+    out = {}
+    for exps, c in a.items():
+        k = exps[i]
+        if k:
+            e = list(exps)
+            e[i] = k - 1
+            out[tuple(e)] = c * k
+    return out
+
+
+def assert_canonical(p):
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(n) is int and n for n in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+
+
+@st.composite
+def mixed_denominator_cases(draw):
+    dim = draw(st.integers(1, 5))
+    exps = st.tuples(*[st.integers(0, 2)] * dim)
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    p, q = (Polynomial(Chart(dim), draw(st.dictionaries(exps, coeffs, max_size=5)))
+            for _ in range(2))
+    return p, q, draw(small_fractions), draw(st.integers(0, dim - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_denominator_cases())
+def test_integer_representation_matches_fraction_loops(case):
+    p, q, c, i = case
+    neg_q = {e: -v for e, v in q.terms.items()}
+    results = [
+        (p + q, reference_add(p.terms, q.terms)),
+        (p - q, reference_add(p.terms, neg_q)),
+        (-q, neg_q),
+        (p * q, reference_mul(p, q)),
+        (p * c, reference_scaled(p.terms, c)),
+        (c * q, reference_scaled(q.terms, c)),
+        (p.differentiate(i), reference_differentiate(p.terms, i)),
+    ]
+    for result, expected in results:
+        assert result.terms == expected
+        assert_canonical(result)
+    assert_canonical(p)
+    assert_canonical(q)
+    same = [((p + q) - q, p), (p * q - q * p, Polynomial.zero(p.chart)),
+            ((p * c).differentiate(i), p.differentiate(i) * c),
+            (Polynomial(p.chart, p.terms), p), (p * 2 - p, p + 0)]
+    if c:
+        same.append(((p * c) * (1 / c), p))
+    for left, right in same:
+        assert left == right and hash(left) == hash(right)
+    if not q.is_zero:
+        assert (p * q).exact_divide(q) == p
+    root = (p * p).sqrt()
+    assert root == p or root == -p

@@ -1,11 +1,14 @@
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gengeo
 from gengeo import io as gio
 from gengeo.algebra import Chart, random_polynomial
 from gengeo.cli import main
@@ -211,6 +214,22 @@ def test_directory_inputs_exit_2(tmp_path, capsys):
         assert f"{d}: is a directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points, message", [
+    ([], "points: expected at least one point"),                 # analyzed the default points
+    ([1], "points[0]: expected a list of 5 coordinates"),        # TypeError traceback
+    (["12345"], "points[0]: expected a list of 5 coordinates"),  # a string read as 5 digits
+])
+def test_bad_points_file_exit_2(tmp_path, capsys, points, message):
+    ppath = tmp_path / "points.json"
+    ppath.write_text(json.dumps({"points": points}))
+    mpath = tmp_path / "metric.json"
+    mpath.write_text(json.dumps({"C": [[int(i == j) for j in range(5)] for i in range(5)]}))
+    for args in (["spin55", "analyze", "--normal-form", "--points", str(ppath)],
+                 ["verify", "skew-torsion", "--input", str(mpath), "--points", str(ppath)]):
+        assert run_cli(args) == 2, args
+        assert message in capsys.readouterr().err
+
+
 def test_non_object_flow_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "list.json"
     cfg.write_text("[1]")
@@ -334,9 +353,11 @@ def test_unknown_subcommand_exit_2():
 
 
 def test_console_entry_point():
+    src = Path(gengeo.__file__).resolve().parent.parent      # the child imports this gengeo
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "gengeo.cli", "verify", "identities",
                            "--dim", "2", "--cases", "2", "--seed", "1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"]
 
