@@ -114,18 +114,10 @@ def identities_suite(dim: int, cases: int, seed: int, max_degree: int = 2) -> Re
 
     def courant_case():
         u, v = random_section(chart, rng, max_degree), random_section(chart, rng, max_degree)
-        bad = []
-        for _ in range(2):
-            a = random_mixed_form(chart, rng, max_degree=max_degree)
-            r = courant_spinor_residual(u, v, a)
-            if not r.is_zero:
-                bad.append(r)
-        for k in range(dim + 1):
-            for idx in combinations(range(dim), k):
-                r = courant_spinor_residual(u, v, MixedForm.basis(chart, idx))
-                if not r.is_zero:
-                    bad.append(r)
-        return bad
+        forms = [random_mixed_form(chart, rng, max_degree=max_degree) for _ in range(2)]
+        forms += [MixedForm.basis(chart, idx)
+                  for k in range(dim + 1) for idx in combinations(range(dim), k)]
+        return [r for r in courant_spinor_residual(u, v, forms) if not r.is_zero]
 
     run("courant-definitional",
         "2[u,v].a = d((uv-vu).a) + 2u.d(v.a) - 2v.d(u.a) + (uv-vu).da",

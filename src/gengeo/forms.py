@@ -297,14 +297,24 @@ def mukai_pairing(a: MixedForm, b: MixedForm) -> Polynomial:
 
 
 def vf_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Lie bracket of vector fields [X,Y]."""
+    """Lie bracket of vector fields [X,Y]: [X,Y]^i = X^j d_j Y^i - Y^j d_j X^i.
+
+    A product is formed only when both factors are nonzero; adding a zero
+    polynomial returns the other operand, so the skipped terms change nothing.
+    """
     x.chart.require_same(y.chart)
     comps = []
-    for i in range(x.chart.dim):
+    for xi, yi in zip(x.components, y.components):
         acc = Polynomial.zero(x.chart)
-        for j in range(x.chart.dim):
-            acc = acc + x.components[j] * y.components[i].differentiate(j)
-            acc = acc - y.components[j] * x.components[i].differentiate(j)
+        for j, (xj, yj) in enumerate(zip(x.components, y.components)):
+            if not (xj.is_zero or yi.is_zero):
+                dyi = yi.differentiate(j)
+                if not dyi.is_zero:
+                    acc = acc + xj * dyi
+            if not (yj.is_zero or xi.is_zero):
+                dxi = xi.differentiate(j)
+                if not dxi.is_zero:
+                    acc = acc - yj * dxi
         comps.append(acc)
     return VectorField(x.chart, comps)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
 from .algebra import Chart, Polynomial, Rational, random_polynomial
 from .forms import (MixedForm, VectorField, exterior_derivative, interior_product,
@@ -91,12 +92,17 @@ def basis_sections(chart: Chart) -> list[GenSection]:
 
 
 def gv_inner(u: GenSection, v: GenSection) -> Polynomial:
-    """Polarized inner product (u,v) = (i_{X_u} xi_v + i_{X_v} xi_u)/2."""
+    """Polarized inner product (u,v) = (i_{X_u} xi_v + i_{X_v} xi_u)/2.
+
+    Components with a zero factor are skipped.
+    """
     u.chart.require_same(v.chart)
     acc = Polynomial.zero(u.chart)
     for i in range(u.chart.dim):
-        acc = acc + u.vector.components[i] * v.oneform_component(i)
-        acc = acc + v.vector.components[i] * u.oneform_component(i)
+        for x, xi in ((u.vector.components[i], v.oneform.terms.get((i,))),
+                      (v.vector.components[i], u.oneform.terms.get((i,)))):
+            if xi is not None and not x.is_zero:
+                acc = acc + x * xi
     return acc * Fraction(1, 2)
 
 
@@ -152,25 +158,28 @@ def courant_bracket(u: GenSection, v: GenSection) -> GenSection:
     return GenSection(vec, form)
 
 
-def courant_spinor_residual(u: GenSection, v: GenSection, a: MixedForm) -> MixedForm:
-    """LHS - RHS of the bracket's defining action on spinors.
+def courant_spinor_residual(u: GenSection, v: GenSection,
+                            forms: Iterable[MixedForm]) -> list[MixedForm]:
+    """LHS - RHS of the bracket's defining action on spinors, one per form a.
 
     2[u,v].a = d((uv - vu).a) + 2u.d(v.a) - 2v.d(u.a) + (uv - vu).da,
-    with [u,v] from courant_bracket; identically zero.
+    with [u,v] from courant_bracket (evaluated once for all forms);
+    every residual is identically zero.
     """
     u.chart.require_same(v.chart)
-    u.chart.require_same(a.chart)
-    lhs = clifford_act(courant_bracket(u, v), a).scale(2)
-
-    def commutator(form: MixedForm) -> MixedForm:
-        return clifford_act(u, clifford_act(v, form)) - clifford_act(v, clifford_act(u, form))
-
-    da = exterior_derivative(a)
-    rhs = exterior_derivative(commutator(a))
-    rhs = rhs + clifford_act(u, exterior_derivative(clifford_act(v, a))).scale(2)
-    rhs = rhs - clifford_act(v, exterior_derivative(clifford_act(u, a))).scale(2)
-    rhs = rhs + commutator(da)
-    return lhs - rhs
+    bracket = courant_bracket(u, v)
+    residuals = []
+    for a in forms:
+        u.chart.require_same(a.chart)
+        va, ua = clifford_act(v, a), clifford_act(u, a)
+        da = exterior_derivative(a)
+        lhs = clifford_act(bracket, a).scale(2)
+        rhs = exterior_derivative(clifford_act(u, va) - clifford_act(v, ua))
+        rhs = rhs + clifford_act(u, exterior_derivative(va)).scale(2)
+        rhs = rhs - clifford_act(v, exterior_derivative(ua)).scale(2)
+        rhs = rhs + (clifford_act(u, clifford_act(v, da)) - clifford_act(v, clifford_act(u, da)))
+        residuals.append(lhs - rhs)
+    return residuals
 
 
 def random_section(chart: Chart, rng, max_degree: int = 2) -> GenSection:

@@ -65,16 +65,16 @@ def lift(x: VectorField, sign: str, v: GeneralizedMetric) -> GenSection:
     Row contraction: i_X C(Y) = C(X, Y).
     """
     x.chart.require_same(v.chart)
-    n = v.chart.dim
-    if sign == "+":
-        c = v.c
-    elif sign == "-":
-        c = [[-v.c[j][i] for j in range(n)] for i in range(n)]
-    else:
+    if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
+    n = v.chart.dim
+    # only the rows i with X^i != 0 contribute, and only their nonzero entries
+    rows = [(xi, v.c[i] if sign == "+" else [-v.c[j][i] for j in range(n)])
+            for i, xi in enumerate(x.components) if not xi.is_zero]
     zero = Polynomial.zero(v.chart)
     return GenSection(x, MixedForm(v.chart, {
-        (j,): sum((x.components[i] * c[i][j] for i in range(n)), zero) for j in range(n)}))
+        (j,): sum((xi * row[j] for xi, row in rows if not row[j].is_zero), zero)
+        for j in range(n)}))
 
 
 def delta(x: VectorField, y: VectorField, v: GeneralizedMetric,

@@ -50,7 +50,7 @@ def test_criterion_01_courant_definitional_identity():
             u = random_section(chart, rng, max_degree=2)
             v = random_section(chart, rng, max_degree=2)
             a = random_mixed_form(chart, rng, max_degree=2)
-            assert courant_spinor_residual(u, v, a).is_zero
+            assert courant_spinor_residual(u, v, [a])[0].is_zero
             cases += 1
     elapsed = time.time() - start
     report("criterion-1", cases == 100 and elapsed < 60,

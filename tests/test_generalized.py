@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gengeo import generalized
 from gengeo.algebra import Chart, Polynomial, random_polynomial
 from gengeo.forms import (MixedForm, VectorField, exterior_derivative, interior_product,
                           random_mixed_form)
@@ -147,10 +149,10 @@ def test_courant_spinor_residual_examples():
     x1 = Polynomial.coordinate(c, 0)
     u = GenSection.from_vector(VectorField.coordinate(c, 0))
     v = GenSection.from_oneform(MixedForm.basis(c, (1,), x1))
-    assert courant_spinor_residual(u, v, MixedForm.function(c, 1)).is_zero
+    assert courant_spinor_residual(u, v, [MixedForm.function(c, 1)])[0].is_zero
     w = random_section(c, random.Random(4))
     a = random_mixed_form(c, random.Random(5))
-    assert courant_spinor_residual(w, w, a).is_zero
+    assert courant_spinor_residual(w, w, [a])[0].is_zero
 
 
 @settings(max_examples=15, deadline=None)
@@ -161,7 +163,44 @@ def test_courant_spinor_residual_random(seed, dim):
     u = random_section(c, rng, max_degree=2)
     v = random_section(c, rng, max_degree=2)
     a = random_mixed_form(c, rng)
-    assert courant_spinor_residual(u, v, a).is_zero
+    assert courant_spinor_residual(u, v, [a])[0].is_zero
+
+
+def single_form_residual(u, v, a):
+    """The residual for one form, as computed before the forms were batched."""
+    lhs = clifford_act(generalized.courant_bracket(u, v), a).scale(2)
+
+    def commutator(form):
+        return clifford_act(u, clifford_act(v, form)) - clifford_act(v, clifford_act(u, form))
+
+    da = exterior_derivative(a)
+    rhs = exterior_derivative(commutator(a))
+    rhs = rhs + clifford_act(u, exterior_derivative(clifford_act(v, a))).scale(2)
+    rhs = rhs - clifford_act(v, exterior_derivative(clifford_act(u, a))).scale(2)
+    rhs = rhs + commutator(da)
+    return lhs - rhs
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_batched_residuals_match_single_form_residuals(dim, monkeypatch):
+    c = Chart(dim)
+    rng = random.Random(50 + dim)
+    basis = [MixedForm.basis(c, idx) for k in range(dim + 1) for idx in combinations(range(dim), k)]
+    cases = []
+    for _ in range(2):
+        u, v = random_section(c, rng), random_section(c, rng)
+        cases.append((u, v, [random_mixed_form(c, rng) for _ in range(2)] + basis))
+    for u, v, forms in cases:
+        got = courant_spinor_residual(u, v, forms)
+        assert got == [single_form_residual(u, v, a) for a in forms]
+        assert all(r.is_zero for r in got)
+    # with a wrong bracket the residuals are nonzero, and must still agree form by form
+    bracket = generalized.courant_bracket
+    monkeypatch.setattr(generalized, "courant_bracket", lambda x, y: bracket(x, y).scale(2))
+    for u, v, forms in cases:
+        got = courant_spinor_residual(u, v, forms)
+        assert got == [single_form_residual(u, v, a) for a in forms]
+        assert not all(r.is_zero for r in got)
 
 
 @settings(max_examples=15, deadline=None)
