@@ -212,10 +212,14 @@ class Polynomial:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            c = as_fraction(other)
-            return self._scaled(c.numerator, c.denominator)
-        self.chart.require_same(other.chart)
+        if isinstance(other, Polynomial):
+            self.chart.require_same(other.chart)
+        else:
+            other = as_fraction(other)
+        if not self.nums or not other:      # a zero operand: nothing to multiply
+            return Polynomial.zero(self.chart)
+        if isinstance(other, Fraction):
+            return self._scaled(other.numerator, other.denominator)
         for factor, const in ((self, other), (other, self)):
             n = const._constant_num()      # a constant factor scales the other's terms
             if n is not None:
@@ -233,13 +237,12 @@ class Polynomial:
     __rmul__ = __mul__
 
     def _scaled(self, n: int, d: int) -> "Polynomial":
-        """(n/d) * self for d >= 1; exact, since a nonzero n times a nonzero term is nonzero."""
+        """(n/d) * self for n != 0 and d >= 1; exact, since a nonzero n times a nonzero
+        term is nonzero."""
         if n == d:
             return self
         if n == -d:
             return -self
-        if not n:
-            return Polynomial.zero(self.chart)
         return Polynomial._make(self.chart, {e: v * n for e, v in self.nums.items()}, self.den * d)
 
     # -- calculus ----------------------------------------------------------

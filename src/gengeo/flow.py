@@ -13,6 +13,11 @@ is symmetric: the flow transports the total volume V monotonically
 (gradient-like) rather than conserving it.  The per-step V series is
 recorded; convergence of V at fixed final time measures the stepper's
 fourth order.
+
+Each ``run_flow`` owns one ``Workspace``: the RK4 stages, their Q/f and hat
+fields, and the per-step diagnostics write into its buffers, so a step
+allocates only the new state's arrays.  No step writes into its input, so
+the trajectory ring holds the live states, not copies.
 """
 
 from __future__ import annotations
@@ -244,12 +249,14 @@ def spectral_gradient(fields: np.ndarray, n: int) -> np.ndarray:
     return gradient(fields, n, "spectral")
 
 
-def grid_d(fields: np.ndarray, parity: int, n: int, method: str = "spectral") -> np.ndarray:
+def grid_d(fields: np.ndarray, parity: int, n: int, method: str = "spectral",
+           out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
     """Exterior derivative of a sampled form (leading axis = component); each
-    (axis, src) derivative goes straight into its d-component (FormTables.d_apply)."""
+    (axis, src) derivative goes straight into its d-component (FormTables.d_apply),
+    written into ``out`` if given, through the one-component scratch ``term``."""
     dmat = derivative_matrix(n, method)
-    return form_tables(DIM).d_apply(fields, parity, lambda comp, i, out: _axis_derivative(
-        comp, comp.ndim - DIM + i, dmat, out))
+    return form_tables(DIM).d_apply(fields, parity, lambda comp, i, t: _axis_derivative(
+        comp, comp.ndim - DIM + i, dmat, t), out, term)
 
 
 # -- pointwise spin geometry on the grid -----------------------------------------
@@ -267,9 +274,8 @@ class PointwiseSpin:
 
     def triple(self, rho1: np.ndarray, rho2: np.ndarray) -> tuple[np.ndarray, ...]:
         """(v1, h, v2) = s (Q1, P12, Q2) / phi, each of shape (10, grid)."""
-        p12 = q_tables().p_apply(rho1, rho2)    # allocated first: fewer later heap trims
         scale = self.sign / self.phi
-        return self.q1 * scale, p12 * scale, self.q2 * scale
+        return self.q1 * scale, q_tables().p_apply(rho1, rho2) * scale, self.q2 * scale
 
 
 @dataclass
@@ -278,9 +284,36 @@ class HatResult(PointwiseSpin):
     hat2: np.ndarray
 
 
-def stability_field(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
+class SpinBuffers:
+    """Outputs and scratch of the spin kernels on one grid: Q1, Q2, v = Q/phi, one
+    16-component field (a hat or a d), f, phi and two scalar term fields."""
+
+    def __init__(self, grid: tuple[int, ...]):
+        self.q1, self.q2, self.v = (np.empty((2 * DIM,) + grid) for _ in range(3))
+        self.hat = np.empty((N_COEFF,) + grid)
+        self.f, self.phi = np.empty(grid), np.empty(grid)
+        self.terms = np.empty((2,) + grid)
+
+
+class Workspace(SpinBuffers):
+    """One run's buffers at grid size n: the spin buffers plus the RK4 stage input
+    and slopes, each a (rho1, rho2) pair of shape (2, 16, grid)."""
+
+    def __init__(self, n: int):
+        super().__init__((n,) * DIM)
+        self.stage, self.k = np.empty((2, 2, N_COEFF) + (n,) * DIM)
+
+
+def _q_f(rho1: np.ndarray, rho2: np.ndarray, ws: SpinBuffers) -> np.ndarray:
+    """Q(rho1), Q(rho2) into ws.q1, ws.q2 and f = (Q1, Q2) into ws.f; returns ws.f."""
     qt = q_tables()
-    return section_inner(qt.q_apply(rho1), qt.q_apply(rho2), DIM)
+    qt.q_apply(rho1, ws.q1, ws.terms[0])
+    qt.q_apply(rho2, ws.q2, ws.terms[0])
+    return section_inner(ws.q1, ws.q2, DIM, ws.f, ws.terms)
+
+
+def stability_field(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
+    return _q_f(rho1, rho2, SpinBuffers(rho1.shape[1:]))
 
 
 def _node(flat_index: int, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -299,24 +332,35 @@ def _check_stability(f: np.ndarray, floor: float, t: float) -> int:
     return int(signs.flat[0])
 
 
-def _pointwise_spin(rho1: np.ndarray, rho2: np.ndarray, floor: float, t: float) -> PointwiseSpin:
-    """The one Q/f evaluation behind rho_hat and the triple; raises StabilityError
+def _pointwise_spin(rho1: np.ndarray, rho2: np.ndarray, floor: float, t: float,
+                    ws: SpinBuffers | None = None) -> PointwiseSpin:
+    """The one Q/f evaluation behind rho_hat, the triple, V and the recorded
+    diagnostics, written into ws (fresh buffers if None); raises StabilityError
     where |f| <= floor or the orbit sign flips."""
-    qt = q_tables()
-    q1 = qt.q_apply(rho1)
-    q2 = qt.q_apply(rho2)
-    f = section_inner(q1, q2, DIM)
+    ws = SpinBuffers(rho1.shape[1:]) if ws is None else ws
+    f = _q_f(rho1, rho2, ws)
     sign = _check_stability(f, floor, t)
-    return PointwiseSpin(q1, q2, f, np.sqrt(np.abs(f)), sign)
+    phi = np.sqrt(np.abs(f, out=ws.phi), out=ws.phi)
+    return PointwiseSpin(ws.q1, ws.q2, f, phi, sign)
+
+
+def _hat(spin: PointwiseSpin, i: int, rho: Sequence[np.ndarray], ws: SpinBuffers,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """Half i of rho_hat = s (v1.rho2, -v2.rho1), v built in ws.v; into ``out`` if given."""
+    q, other, sign = (spin.q1, rho[1], spin.sign) if i == 0 else (spin.q2, rho[0], -spin.sign)
+    np.divide(q, spin.phi, out=ws.v)
+    hat = form_tables(DIM).clifford_apply(ws.v, other, 0, out, ws.terms[0])
+    hat *= sign
+    return hat
 
 
 def rho_hat_grid(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
                  t: float = 0.0) -> HatResult:
     """Nodewise rho_hat = s (v1.rho2, -v2.rho1) with v_i = Q_i / phi."""
-    s = _pointwise_spin(rho1, rho2, floor, t)
-    ft = form_tables(DIM)
-    return HatResult(**vars(s), hat1=ft.clifford_apply(s.q1 / s.phi, rho2, 0) * s.sign,
-                     hat2=ft.clifford_apply(s.q2 / s.phi, rho1, 0) * (-s.sign))
+    ws = SpinBuffers(rho1.shape[1:])
+    s = _pointwise_spin(rho1, rho2, floor, t, ws)
+    return HatResult(**vars(s), hat1=_hat(s, 0, (rho1, rho2), ws, ws.hat),
+                     hat2=_hat(s, 1, (rho1, rho2), ws))
 
 
 def signed_triple(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
@@ -329,27 +373,38 @@ def signed_triple(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
 # -- time stepping -----------------------------------------------------------------
 
 
-def _rhs(rho1: np.ndarray, rho2: np.ndarray, n: int, method: str, floor: float,
-         t: float) -> tuple[np.ndarray, np.ndarray]:
-    hat = rho_hat_grid(rho1, rho2, floor, t)
-    del hat.q1, hat.q2      # only the hats are used: free Q(rho1), Q(rho2) before d runs
-    return (grid_d(hat.hat1, 1, n, method), grid_d(hat.hat2, 1, n, method))
-
-
-def flow_step(state: GridState, method: str = "spectral",
-              floor: float = 1e-6) -> GridState:
-    """One classical RK4 step of d rho/dt = d rho_hat."""
+def flow_step(state: GridState, method: str = "spectral", floor: float = 1e-6,
+              ws: Workspace | None = None) -> GridState:
+    """One classical RK4 step of d rho/dt = d rho_hat, r + (dt/6)(k1 + 2k2 + 2k3 + k4)
+    in that order.  Every stage writes into ws (a fresh Workspace if None), so the
+    returned pair is the only new array; the input state is never written."""
     n, dt, t = state.n, state.dt, state.t
     if dt == 0.0:
         return state.copy()
-    r1, r2 = state.rho1, state.rho2
-    k1 = _rhs(r1, r2, n, method, floor, t)
-    k2 = _rhs(r1 + 0.5 * dt * k1[0], r2 + 0.5 * dt * k1[1], n, method, floor, t + 0.5 * dt)
-    k3 = _rhs(r1 + 0.5 * dt * k2[0], r2 + 0.5 * dt * k2[1], n, method, floor, t + 0.5 * dt)
-    k4 = _rhs(r1 + dt * k3[0], r2 + dt * k3[1], n, method, floor, t + dt)
-    new1 = r1 + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    new2 = r2 + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return GridState(n, new1, new2, t + dt, dt)
+    ws = Workspace(n) if ws is None else ws
+    r, stage, k = (state.rho1, state.rho2), ws.stage, ws.k
+
+    def slopes(rho: Sequence[np.ndarray], tc: float) -> None:
+        spin = _pointwise_spin(rho[0], rho[1], floor, tc, ws)
+        for i, out in enumerate(k):
+            grid_d(_hat(spin, i, rho, ws, ws.hat), 1, n, method, out, ws.terms[0])
+
+    slopes(r, t)
+    acc = k.copy()                          # k1; becomes the new state's pair
+    for j, (c, tc) in enumerate(((0.5 * dt, t + 0.5 * dt), (0.5 * dt, t + 0.5 * dt),
+                                 (dt, t + dt))):
+        np.multiply(k, c, out=stage)
+        for st, rr in zip(stage, r):
+            st += rr
+        if j:                               # k2 and k3 enter the sum twice
+            k *= 2
+            acc += k
+        slopes(stage, tc)
+    acc += k
+    acc *= dt / 6.0
+    for a, rr in zip(acc, r):
+        a += rr
+    return GridState(n, acc[0], acc[1], t + dt, dt)
 
 
 def hamiltonian(state: GridState, floor: float = 1e-6) -> float:
@@ -360,13 +415,12 @@ def hamiltonian(state: GridState, floor: float = 1e-6) -> float:
     docstring), so V enters the diagnostics as a stepper-order probe, not
     a conserved quantity.
     """
-    f = stability_field(state.rho1, state.rho2)
-    _check_stability(f, floor, state.t)
-    return _total_volume(f, state.cell_volume)
+    spin = _pointwise_spin(state.rho1, state.rho2, floor, state.t)
+    return _total_volume(spin.phi, state.cell_volume)
 
 
-def _total_volume(f: np.ndarray, cell_volume: float) -> float:
-    return float(np.sum(np.sqrt(np.abs(f)))) * cell_volume
+def _total_volume(phi: np.ndarray, cell_volume: float) -> float:
+    return float(np.sum(phi)) * cell_volume
 
 
 def mean_modes(state: GridState) -> np.ndarray:
@@ -375,15 +429,19 @@ def mean_modes(state: GridState) -> np.ndarray:
     return np.concatenate([state.rho1.mean(axis=axes), state.rho2.mean(axis=axes)])
 
 
-def closedness_norms(state: GridState, method: str = "spectral") -> tuple[float, float]:
-    d1 = grid_d(state.rho1, 0, state.n, method)
-    d2 = grid_d(state.rho2, 0, state.n, method)
-    return grid_norm(d1, state.cell_volume), grid_norm(d2, state.cell_volume)
+def closedness_norms(state: GridState, method: str = "spectral",
+                     ws: SpinBuffers | None = None) -> tuple[float, float]:
+    """L2 norms of d rho1 and d rho2, each d built and squared in ws.hat (fresh
+    buffers if None)."""
+    ws = SpinBuffers(state.rho1.shape[1:]) if ws is None else ws
+    return tuple(grid_norm(grid_d(rho, 0, state.n, method, ws.hat, ws.terms[0]),
+                           state.cell_volume, out=ws.hat) for rho in (state.rho1, state.rho2))
 
 
-def grid_norm(fields: np.ndarray, cell_volume: float) -> float:
-    """L2 norm over components and nodes, fixed axis-major reduction."""
-    return float(np.sqrt(np.sum(fields * fields) * cell_volume))
+def grid_norm(fields: np.ndarray, cell_volume: float, out: np.ndarray | None = None) -> float:
+    """L2 norm over components and nodes, fixed axis-major reduction; the squares
+    go into ``out`` if given (``fields`` itself when it is scratch)."""
+    return float(np.sqrt(np.sum(np.multiply(fields, fields, out=out)) * cell_volume))
 
 
 # -- initial data ------------------------------------------------------------------
@@ -501,22 +559,20 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
     state = initial_state(config)
     traj = Trajectory(config=config, ring=deque(maxlen=config.ring))
     mean0 = mean_modes(state)
+    ws = Workspace(config.n)
 
     def record(s: GridState) -> None:
         # one Q/f evaluation per state feeds V, min|f| and the orbit sign
-        f = stability_field(s.rho1, s.rho2)
-        sign = _check_stability(f, config.stability_floor, s.t)
+        spin = _pointwise_spin(s.rho1, s.rho2, config.stability_floor, s.t, ws)
         entry: dict = {"t": s.t}
         if "hamiltonian" in config.diagnostics:
-            entry["hamiltonian"] = _total_volume(f, s.cell_volume)
+            entry["hamiltonian"] = _total_volume(spin.phi, s.cell_volume)
         if "mean-modes" in config.diagnostics:
             entry["mean_mode_drift"] = float(np.max(np.abs(mean_modes(s) - mean0)))
         if "closedness" in config.diagnostics:
-            d1, d2 = closedness_norms(s, config.method)
-            entry["d_rho1"] = d1
-            entry["d_rho2"] = d2
-        entry["min_abs_f"] = float(np.min(np.abs(f)))
-        entry["orbit_sign"] = sign
+            entry["d_rho1"], entry["d_rho2"] = closedness_norms(s, config.method, ws)
+        entry["min_abs_f"] = float(np.min(np.abs(spin.f)))
+        entry["orbit_sign"] = spin.sign
         traj.diagnostics.append(entry)
 
     def record_nahm() -> None:
@@ -529,11 +585,11 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
             })
 
     record(state)
-    traj.ring.append(state.copy())
+    traj.ring.append(state)
     for _ in range(config.steps):
-        state = flow_step(state, config.method, config.stability_floor)
+        state = flow_step(state, config.method, config.stability_floor, ws)
         record(state)
-        traj.ring.append(state.copy())
+        traj.ring.append(state)
         record_nahm()
         if on_step is not None:
             on_step(state)

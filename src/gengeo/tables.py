@@ -70,31 +70,37 @@ class FormTables:
 
     # -- vectorized operations (leading axis = component, rest = grid) -----
 
-    def clifford_apply(self, section: np.ndarray, form: np.ndarray, parity: int) -> np.ndarray:
-        """(X + xi) . form for numeric fields; returns the opposite parity."""
+    def _accumulate(self, entries: list[Entry], form: np.ndarray, parity: int,
+                    fill: Callable[[np.ndarray, int, np.ndarray], object],
+                    out: np.ndarray | None, term: np.ndarray | None) -> np.ndarray:
+        """Sum sign * fill(form[src], key, term) into out[dst] over entries (key, src,
+        dst, sign) in order, fill writing into ``term``; None buffers are allocated."""
         n_out = self.n_odd if parity == 0 else self.n_even
-        out = np.zeros((n_out,) + form.shape[1:], dtype=form.dtype)
-        for slot, src, dst, sign in self.clifford[parity]:
-            if sign == 1:
-                out[dst] += section[slot] * form[src]
-            else:
-                out[dst] -= section[slot] * form[src]
-        return out
-
-    def d_apply(self, form: np.ndarray, parity: int,
-                derivative: Callable[[np.ndarray, int, np.ndarray], object]) -> np.ndarray:
-        """d(form) in one pass over ext: derivative(form[src], i, term) writes each
-        d(form[src])/dx_i into one reusable buffer, added into out[dst] in ext order."""
-        n_out = self.n_odd if parity == 0 else self.n_even
-        out = np.zeros((n_out,) + form.shape[1:], dtype=form.dtype)
-        term = np.empty(form.shape[1:], dtype=form.dtype)
-        for i, src, dst, sign in self.ext[parity]:
-            derivative(form[src], i, term)
+        out = np.empty((n_out,) + form.shape[1:], form.dtype) if out is None else out
+        term = np.empty(form.shape[1:], form.dtype) if term is None else term
+        out.fill(0)
+        for key, src, dst, sign in entries:
+            fill(form[src], key, term)
             if sign == 1:
                 out[dst] += term
             else:
                 out[dst] -= term
         return out
+
+    def clifford_apply(self, section: np.ndarray, form: np.ndarray, parity: int,
+                       out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
+        """(X + xi) . form for numeric fields; returns the opposite parity, written
+        into ``out`` if given, with ``term`` (one component) as scratch."""
+        return self._accumulate(self.clifford[parity], form, parity,
+                                lambda comp, slot, t: np.multiply(section[slot], comp, out=t),
+                                out, term)
+
+    def d_apply(self, form: np.ndarray, parity: int,
+                derivative: Callable[[np.ndarray, int, np.ndarray], object],
+                out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
+        """d(form) in one pass over ext, written into ``out`` if given:
+        derivative(form[src], i, term) writes each d(form[src])/dx_i into ``term``."""
+        return self._accumulate(self.ext[parity], form, parity, derivative, out, term)
 
 
 class QTables:
@@ -127,10 +133,13 @@ class QTables:
                 merged[key] = merged.get(key, 0) + coeff
             self.q_pairs.append([(a, b, coeff) for (a, b), coeff in merged.items() if coeff])
 
-    def q_apply(self, phi: np.ndarray) -> np.ndarray:
-        """Densitized Q(phi): slots [X^1..X^5, xi_1..xi_5]."""
-        out = np.zeros((2 * self.dim,) + phi.shape[1:], dtype=phi.dtype)
-        term = np.empty(phi.shape[1:], dtype=phi.dtype)
+    def q_apply(self, phi: np.ndarray, out: np.ndarray | None = None,
+                term: np.ndarray | None = None) -> np.ndarray:
+        """Densitized Q(phi): slots [X^1..X^5, xi_1..xi_5], written into ``out``
+        if given, with ``term`` (one component) as scratch."""
+        out = np.empty((2 * self.dim,) + phi.shape[1:], phi.dtype) if out is None else out
+        term = np.empty(phi.shape[1:], phi.dtype) if term is None else term
+        out.fill(0)
         for slot, pairs in enumerate(self.q_pairs):
             acc = out[slot]
             for a, b, coeff in pairs:
@@ -149,12 +158,20 @@ class QTables:
         return out
 
 
-def section_inner(u: np.ndarray, v: np.ndarray, dim: int) -> np.ndarray:
-    """Pointwise (u, v) = (i_{X_u} xi_v + i_{X_v} xi_u)/2 for numeric fields."""
-    acc = np.zeros(u.shape[1:], dtype=u.dtype)
+def section_inner(u: np.ndarray, v: np.ndarray, dim: int, out: np.ndarray | None = None,
+                  term: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise (u, v) = (i_{X_u} xi_v + i_{X_v} xi_u)/2 for numeric fields, written
+    into ``out`` if given, with ``term`` (two fields) as scratch."""
+    out = np.empty(u.shape[1:], u.dtype) if out is None else out
+    term = np.empty((2,) + u.shape[1:], u.dtype) if term is None else term
+    out.fill(0)
     for i in range(dim):
-        acc += u[i] * v[dim + i] + v[i] * u[dim + i]
-    return 0.5 * acc
+        np.multiply(u[i], v[dim + i], out=term[0])
+        np.multiply(v[i], u[dim + i], out=term[1])
+        term[0] += term[1]
+        out += term[0]
+    out *= 0.5
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -124,13 +124,15 @@ def test_grid_d_allocates_its_output_and_one_component(n, method, parity):
 
 
 def test_rk4_stages_receive_their_times(monkeypatch):
+    # each stage's Q/f evaluation gets the stage time for its stability messages
     seen = []
+    pointwise_spin = flow._pointwise_spin
 
-    def spy(rho1, rho2, floor=1e-6, t=0.0):
+    def spy(rho1, rho2, floor, t, ws=None):
         seen.append(t)
-        return rho_hat_grid(rho1, rho2, floor, t)
+        return pointwise_spin(rho1, rho2, floor, t, ws)
 
-    monkeypatch.setattr(flow, "rho_hat_grid", spy)
+    monkeypatch.setattr(flow, "_pointwise_spin", spy)
     s = initial_state(small_cfg(dt=0.02))
     s.t = 0.5
     flow_step(s)

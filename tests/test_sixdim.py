@@ -160,9 +160,9 @@ def _count_spin_calls(monkeypatch):
         calls["rho_hat_grid"] += 1
         return original_hat(*args, **kwargs)
 
-    def q_spy(self, phi):
+    def q_spy(self, phi, *buffers):
         calls["q_apply"] += 1
-        return original_q(self, phi)
+        return original_q(self, phi, *buffers)
 
     monkeypatch.setattr(sixdim, "rho_hat_grid", hat_spy)
     monkeypatch.setattr(QTables, "q_apply", q_spy)

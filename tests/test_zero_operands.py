@@ -1,11 +1,13 @@
 """The exact kernel skips zero operands without changing any result.
 
-`vf_bracket`, `lift` and `gv_inner` form a product only when both factors
-are nonzero.  Each is compared here, with `==` and term order, against a
+`Polynomial.__mul__` returns zero for a zero operand before forming any
+product.  `vf_bracket`, `lift` and `gv_inner` form a product only when both
+factors are nonzero.  Each is compared here, with `==` and term order, against a
 dense per-index sum over every index, on seeded inputs with some zero
-components.  Two pins keep the skipped work from coming back: `delta` on
-coordinate fields multiplies no zero operand, and `verify identities`
-evaluates one Courant bracket per courant-case section pair.
+components.  Three pins keep the skipped work from coming back: `delta` on
+coordinate fields multiplies no zero operand, `torsion_check` scales no zero
+polynomial and by no zero factor, and `verify identities` evaluates one
+Courant bracket per courant-case section pair.
 """
 
 import random
@@ -14,10 +16,11 @@ from fractions import Fraction
 import pytest
 
 from gengeo import cli, generalized
-from gengeo.algebra import Chart, Polynomial, random_polynomial
+from gengeo.algebra import Chart, ChartMismatchError, Polynomial, random_polynomial
 from gengeo.forms import MixedForm, VectorField, vf_bracket
 from gengeo.generalized import GenSection, gv_inner
-from gengeo.metric import GeneralizedMetric, coordinate_deltas, lift, random_metric
+from gengeo.metric import (GeneralizedMetric, coordinate_deltas, lift, random_metric,
+                           torsion_check)
 
 DIMS = (2, 3, 4, 5)
 SEEDS = range(6)
@@ -149,6 +152,46 @@ def test_delta_on_coordinate_fields_multiplies_no_zero_operand(monkeypatch, swap
         coordinate_deltas(v, swapped=swapped)
     assert products
     assert zero_products == []
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_products_with_a_zero_operand_are_zero(dim):
+    chart = Chart(dim)
+    zero = Polynomial.zero(chart)
+    rng = random.Random(5000 + dim)
+    for p in [random_polynomial(chart, rng) for _ in range(4)] + [Polynomial.constant(chart, 3)]:
+        for product in (p * zero, zero * p, p * 0, 0 * p, zero * Fraction(-2, 3), zero * zero):
+            assert_same(product, zero)
+    with pytest.raises(ChartMismatchError):
+        zero * Polynomial.zero(Chart(dim + 1))
+    with pytest.raises(TypeError):
+        zero * 0.5
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_torsion_check_multiplies_no_zero_operand(monkeypatch, swapped):
+    # Every product with a zero operand (a zero polynomial, a zero constant
+    # factor) would reach _scaled with a zero polynomial or a zero n; the
+    # derivatives of constant metric entries and the zero sums c_ij +- c_ji
+    # of g_entry/b_entry are such operands.
+    metrics = []
+    for dim in (2, 3, 4):
+        rng = random.Random(60 + dim)
+        metrics += [random_metric(Chart(dim), rng), sparse_metric(Chart(dim), rng)]
+    scaled, zero_scaled = [], []
+    original = Polynomial._scaled
+
+    def spy(self, n, d):
+        scaled.append(1)
+        if self.is_zero or not n:
+            zero_scaled.append((self, n, d))
+        return original(self, n, d)
+
+    monkeypatch.setattr(Polynomial, "_scaled", spy)
+    for v in metrics:
+        assert torsion_check(v, swapped=swapped).all_zero
+    assert scaled
+    assert zero_scaled == []
 
 
 def test_identities_suite_evaluates_one_bracket_per_courant_pair(monkeypatch):
