@@ -3,8 +3,8 @@
 ``flow_step`` writes every stage input, slope, Q/f field and hat into the
 workspace's buffers, so a step with a warm workspace allocates only the
 returned (rho1, rho2) pair.  These tests compare it bit for bit with the
-allocating RK4 formula it replaced, bound its traced peak, and check that
-no state it returns or that ``run_flow`` keeps aliases a buffer.
+allocating RK4 formula as the reference, bound its traced peak, and check
+that no state it returns or that ``run_flow`` keeps aliases a buffer.
 """
 
 import tracemalloc
@@ -25,7 +25,7 @@ def perturbed(dt, method):
     return initial_state(FlowConfig(n=N, dt=dt, epsilon=0.05, method=method))
 
 
-# -- the allocating formula, as flow_step computed it before the workspace ------
+# -- reference: the allocating RK4 formula, one new array per operation ----------
 
 
 def reference_rhs(rho1, rho2, n, method, floor, t):
@@ -92,11 +92,11 @@ def test_flow_step_never_writes_its_input():
 
 @pytest.mark.parametrize("method", ["spectral", "fd4"])
 def test_warm_step_allocates_only_its_result(method):
-    # Measured at N=4: the returned pair plus 67,896 B, of which 65,536 B is
-    # numpy's ufunc buffer (np.getbufsize() doubles, used by the broadcast
-    # v = Q / phi at this size) and the rest a scalar field's abs/sign
-    # temporaries and small objects.  One more per-stage 16-component field
-    # would add 131,072 B.
+    # Measured at N=4: the returned pair plus 68,016-68,200 B, of which
+    # 65,536 B is numpy's ufunc buffer (np.getbufsize() doubles, used by the
+    # broadcast v = Q / phi at this size) and the rest small objects; the bound
+    # leaves room for 4 scalar fields (8,192 B each).  One more per-stage
+    # 16-component field would add 131,072 B.
     ws = Workspace(N)
     s = flow_step(perturbed(0.02, method), method, FLOOR, ws)
     tracemalloc.start()
