@@ -28,8 +28,9 @@ from .generalized import (GenSection, bfield_on_form, bfield_on_section, cliffor
 from . import io as gio
 from .metric import (GeneralizedMetric, christoffel_classical_at, connection_at,
                      coordinate_deltas, random_metric, torsion_check)
-from .spin55 import (PairAnalysis, RhoPair, StabilityError, commuting_triple_check, is_stable,
-                     normal_form, v_triple, variational_residual)
+from .spin55 import (GramError, NormalizationError, PairAnalysis, RhoPair, StabilityError,
+                     commuting_triple_check, is_stable, normal_form, v_triple,
+                     variational_residual)
 from .twisted import (CoverData, CoverError, check_cocycle, glue_section,
                       globalize_with_curving, twisted_differential)
 
@@ -369,6 +370,10 @@ def twisted_suite(dim: int, cases: int, seed: int, cover_path: str | None = None
 # -- spin55 analyze -------------------------------------------------------------------
 
 
+GRAM_CHECK = ("gram-constant", "(v_i, v_j)/phi^2 is constant on the chart")
+NORMALIZATION_CHECK = ("normalization", "<rho_hat_1, rho2> = phi")
+
+
 def spin55_analyze(rho: RhoPair, points=None) -> Report:
     pair = PairAnalysis(rho)    # every exact quantity of the pair, evaluated once
     stability = is_stable(pair, points)
@@ -389,9 +394,11 @@ def spin55_analyze(rho: RhoPair, points=None) -> Report:
             triple = v_triple(pair)
             commuting = commuting_triple_check(pair)
         except StabilityError as e:
-            # f != 0 at the sample points but not wherever needed: a failed check (exit 1)
-            report.add("stability", "f != 0 wherever the analysis evaluates the pair",
-                       exact_zero=False, residual=str(e))
+            # an exact invariant fails, or f != 0 at the sample points but not wherever
+            # needed: a failed check (exit 1)
+            check = {GramError: GRAM_CHECK, NormalizationError: NORMALIZATION_CHECK}.get(
+                type(e), ("stability", "f != 0 wherever the analysis evaluates the pair"))
+            report.add(*check, exact_zero=False, residual=str(e))
             report.extra.update(payload)
             return report
         payload["residuals"] = {
@@ -413,9 +420,8 @@ def spin55_analyze(rho: RhoPair, points=None) -> Report:
             "volume_preserving": {k: v.is_zero
                                   for k, v in commuting.volume_preserving_residuals.items()},
         }
-        report.add("gram-constant", "(v_i, v_j)/phi^2 is constant on the chart",
-                   exact_zero=True)
-        report.add("normalization", "<rho_hat_1, rho2> = phi", exact_zero=True)
+        report.add(*GRAM_CHECK, exact_zero=True)
+        report.add(*NORMALIZATION_CHECK, exact_zero=True)
     report.extra.update(payload)
     return report
 

@@ -16,8 +16,10 @@ fourth order.
 
 Each ``run_flow`` owns one ``Workspace``: the RK4 stages, their Q/f and hat
 fields, and the per-step diagnostics write into its buffers, so a step
-allocates only the new state's arrays.  No step writes into its input, so
-the trajectory ring holds the live states, not copies.
+allocates only the new state's arrays, k1 written straight into them.  No
+step writes into its input, so the trajectory ring holds the live states, not
+copies.  The Q/f recorded for a state feeds the next step's first stage, and
+the orbit sign of rho_hat is folded into ``grid_d``, not applied to the hat.
 """
 
 from __future__ import annotations
@@ -250,13 +252,18 @@ def spectral_gradient(fields: np.ndarray, n: int) -> np.ndarray:
 
 
 def grid_d(fields: np.ndarray, parity: int, n: int, method: str = "spectral",
-           out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
-    """Exterior derivative of a sampled form (leading axis = component); each
-    (axis, src) derivative goes straight into its d-component (FormTables.d_apply),
-    written into ``out`` if given, through the one-component scratch ``term``."""
+           out: np.ndarray | None = None, term: np.ndarray | None = None,
+           sign: int = 1) -> np.ndarray:
+    """Exterior derivative of sign * fields (sign = +-1) for a sampled form (leading
+    axis = component); each (axis, src) derivative goes straight into its
+    d-component (FormTables.d_apply), written into ``out`` if given, through the
+    one-component scratch ``term``.  A negative first term is the GEMM with -D:
+    GEMMs sum from +0 and -D negates every product, so the result is bitwise a
+    zero fill plus signed adds, the signs of zeros included."""
     dmat = derivative_matrix(n, method)
-    return form_tables(DIM).d_apply(fields, parity, lambda comp, i, t: _axis_derivative(
-        comp, comp.ndim - DIM + i, dmat, t), out, term)
+    mats = dmat, -dmat
+    return form_tables(DIM).d_apply(fields, parity, lambda comp, i, t, negate: _axis_derivative(
+        comp, comp.ndim - DIM + i, mats[negate], t), out, term, sign)
 
 
 # -- pointwise spin geometry on the grid -----------------------------------------
@@ -345,13 +352,12 @@ def _pointwise_spin(rho1: np.ndarray, rho2: np.ndarray, floor: float, t: float,
 
 
 def _hat(spin: PointwiseSpin, i: int, rho: Sequence[np.ndarray], ws: SpinBuffers,
-         out: np.ndarray | None = None) -> np.ndarray:
-    """Half i of rho_hat = s (v1.rho2, -v2.rho1), v built in ws.v; into ``out`` if given."""
+         out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """Half i of rho_hat = s (v1.rho2, -v2.rho1) as (v.rho, its sign), v built in ws.v
+    and v.rho written into ``out`` if given; the sign is left to the caller."""
     q, other, sign = (spin.q1, rho[1], spin.sign) if i == 0 else (spin.q2, rho[0], -spin.sign)
     np.divide(q, spin.phi, out=ws.v)
-    hat = form_tables(DIM).clifford_apply(ws.v, other, 0, out, ws.terms[0])
-    hat *= sign
-    return hat
+    return form_tables(DIM).clifford_apply(ws.v, other, 0, out, ws.terms[0]), sign
 
 
 def rho_hat_grid(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
@@ -359,8 +365,10 @@ def rho_hat_grid(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
     """Nodewise rho_hat = s (v1.rho2, -v2.rho1) with v_i = Q_i / phi."""
     ws = SpinBuffers(rho1.shape[1:])
     s = _pointwise_spin(rho1, rho2, floor, t, ws)
-    return HatResult(**vars(s), hat1=_hat(s, 0, (rho1, rho2), ws, ws.hat),
-                     hat2=_hat(s, 1, (rho1, rho2), ws))
+    (hat1, s1), (hat2, s2) = _hat(s, 0, (rho1, rho2), ws, ws.hat), _hat(s, 1, (rho1, rho2), ws)
+    hat1 *= s1
+    hat2 *= s2
+    return HatResult(**vars(s), hat1=hat1, hat2=hat2)
 
 
 def signed_triple(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
@@ -374,32 +382,36 @@ def signed_triple(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
 
 
 def flow_step(state: GridState, method: str = "spectral", floor: float = 1e-6,
-              ws: Workspace | None = None) -> GridState:
+              ws: Workspace | None = None, spin: PointwiseSpin | None = None) -> GridState:
     """One classical RK4 step of d rho/dt = d rho_hat, r + (dt/6)(k1 + 2k2 + 2k3 + k4)
     in that order.  Every stage writes into ws (a fresh Workspace if None), so the
-    returned pair is the only new array; the input state is never written."""
+    returned pair is the only new array; the input state is never written.  The
+    first stage uses ``spin``, the state's Q/f from ``_pointwise_spin`` at this
+    floor, if given."""
     n, dt, t = state.n, state.dt, state.t
     if dt == 0.0:
         return state.copy()
     ws = Workspace(n) if ws is None else ws
     r, stage, k = (state.rho1, state.rho2), ws.stage, ws.k
 
-    def slopes(rho: Sequence[np.ndarray], tc: float) -> None:
-        spin = _pointwise_spin(rho[0], rho[1], floor, tc, ws)
-        for i, out in enumerate(k):
-            grid_d(_hat(spin, i, rho, ws, ws.hat), 1, n, method, out, ws.terms[0])
+    def slopes(rho: Sequence[np.ndarray], tc: float, out: np.ndarray,
+               spin: PointwiseSpin | None = None) -> None:
+        spin = _pointwise_spin(rho[0], rho[1], floor, tc, ws) if spin is None else spin
+        for i in range(2):
+            hat, sign = _hat(spin, i, rho, ws, ws.hat)
+            grid_d(hat, 1, n, method, out[i], ws.terms[0], sign)
 
-    slopes(r, t)
-    acc = k.copy()                          # k1; becomes the new state's pair
+    acc = np.empty_like(k)
+    slopes(r, t, acc, spin)                 # k1, in the new state's pair
     for j, (c, tc) in enumerate(((0.5 * dt, t + 0.5 * dt), (0.5 * dt, t + 0.5 * dt),
                                  (dt, t + dt))):
-        np.multiply(k, c, out=stage)
+        np.multiply(k if j else acc, c, out=stage)
         for st, rr in zip(stage, r):
             st += rr
         if j:                               # k2 and k3 enter the sum twice
             k *= 2
             acc += k
-        slopes(stage, tc)
+        slopes(stage, tc, k)
     acc += k
     acc *= dt / 6.0
     for a, rr in zip(acc, r):
@@ -561,8 +573,9 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
     mean0 = mean_modes(state)
     ws = Workspace(config.n)
 
-    def record(s: GridState) -> None:
-        # one Q/f evaluation per state feeds V, min|f| and the orbit sign
+    def record(s: GridState) -> PointwiseSpin:
+        # one Q/f evaluation per state feeds V, min|f|, the orbit sign and the next
+        # step's first stage (no diagnostic writes ws's Q/f)
         spin = _pointwise_spin(s.rho1, s.rho2, config.stability_floor, s.t, ws)
         entry: dict = {"t": s.t}
         if "hamiltonian" in config.diagnostics:
@@ -574,21 +587,28 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
         entry["min_abs_f"] = float(np.min(np.abs(spin.f)))
         entry["orbit_sign"] = spin.sign
         traj.diagnostics.append(entry)
+        return spin
+
+    triples: list = []                      # signed triples of the window's states
 
     def record_nahm() -> None:
         # the centered residual lives at the middle of the last three states
         if "nahm" in config.diagnostics and len(traj.ring) >= 3:
-            r = nahm_residual(list(traj.ring)[-3:], config.method, config.stability_floor)
+            window = list(traj.ring)[-3:]
+            triples.extend(signed_triple(s.rho1, s.rho2, config.stability_floor, s.t)
+                           for s in window[len(triples):])
+            r = nahm_residual(window, config.method, config.stability_floor, triples)
+            del triples[0]
             traj.diagnostics[-2].update({
                 "nahm_v1": r.v1_residual, "nahm_h": r.h_residual,
                 "nahm_v2": r.v2_residual, "lambda_max": r.lambda_max,
             })
 
-    record(state)
+    spin = record(state)
     traj.ring.append(state)
     for _ in range(config.steps):
-        state = flow_step(state, config.method, config.stability_floor, ws)
-        record(state)
+        state = flow_step(state, config.method, config.stability_floor, ws, spin)
+        spin = record(state)
         traj.ring.append(state)
         record_nahm()
         if on_step is not None:
@@ -663,7 +683,7 @@ class NahmResidual:
 
 
 def nahm_residual(states: Sequence[GridState], method: str = "spectral",
-                  floor: float = 1e-6) -> NahmResidual:
+                  floor: float = 1e-6, triples: Sequence[tuple] | None = None) -> NahmResidual:
     """Central-difference residuals of the bracket evolution equations.
 
         v1' = -2[h, v1] + lambda v1,
@@ -673,6 +693,7 @@ def nahm_residual(states: Sequence[GridState], method: str = "spectral",
     for the signed triple, with lambda = -(h,[v1,v2])/(h,h) pointwise.
     Also reports the h-equation residual with lambda = 0 and with the
     alternative normalization (h,h) = 2, i.e. lambda = -(h,[v1,v2])/2.
+    ``triples`` gives the three states' ``signed_triple`` values if already built.
     """
     if len(states) < 3:
         raise ValueError("need at least 3 stored states for central differences")
@@ -685,7 +706,8 @@ def nahm_residual(states: Sequence[GridState], method: str = "spectral",
     n = mid.n
     cell = mid.cell_volume
 
-    triples = [signed_triple(s.rho1, s.rho2, floor, s.t) for s in (prev, mid, nxt)]
+    if triples is None:
+        triples = [signed_triple(s.rho1, s.rho2, floor, s.t) for s in (prev, mid, nxt)]
     (v1m, hm, v2m, _, _) = triples[1]
     dot = [(b - a) / (2 * dt) for a, b in zip(triples[0][:3], triples[2][:3])]
 

@@ -43,6 +43,14 @@ class StabilityError(ValueError):
     """Operation evaluated at an unstable point (f = 0) or off-orbit input."""
 
 
+class GramError(StabilityError):
+    """The triple's normalized Gram is not the orbit's constant matrix."""
+
+
+class NormalizationError(StabilityError):
+    """<rho_hat_1, rho2> = phi or <rho_hat_2, rho1> = -phi fails."""
+
+
 def _require_dim5(chart: Chart) -> None:
     if chart.dim != DIM:
         raise ValueError(f"this operation needs a 5-dimensional chart, got dim {chart.dim}")
@@ -219,7 +227,7 @@ def _constant_ratio(numerator: Polynomial, q: Polynomial) -> Fraction:
     ratio = numerator.exact_divide(q)
     value = ratio.constant_value() if ratio is not None else None
     if value is None:
-        raise StabilityError("triple Gram entry is not a constant multiple of f")
+        raise GramError("triple Gram entry is not a constant multiple of f")
     return value
 
 
@@ -315,9 +323,9 @@ class PairAnalysis:
         m1 = clifford_act(self.q1, rho.rho2).scale(s)
         m2 = clifford_act(self.q2, rho.rho1).scale(-s)
         if mukai_pairing(m1, rho.rho2) != q:
-            raise StabilityError("normalization failed: <rho_hat1, rho2> != phi")
+            raise NormalizationError("normalization failed: <rho_hat1, rho2> != phi")
         if mukai_pairing(m2, rho.rho1) != -q:
-            raise StabilityError("normalization failed: <rho_hat2, rho1> != -phi")
+            raise NormalizationError("normalization failed: <rho_hat2, rho1> != -phi")
         return RhoHat(m1, m2, q, s)
 
     @cached_property
@@ -337,7 +345,7 @@ class PairAnalysis:
             (s * GRAM_V1V2, Fraction(0), Fraction(0)),
         )
         if gram != expected:
-            raise StabilityError(f"unexpected triple Gram {gram}; convention constants violated")
+            raise GramError(f"unexpected triple Gram {gram}; convention constants violated")
         return VTriple(self.q1, self.p12, self.q2, q, s, gram)
 
     @cached_property

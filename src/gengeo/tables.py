@@ -5,6 +5,11 @@ are generated once per dimension by evaluating the exact symbolic kernel
 on constant basis forms, the Q-forms are composed from the Clifford and
 Mukai tables, and all are frozen as integer index arrays for numpy.  That
 keeps the float path and the rational path definitionally consistent.
+
+The kernels write the first term of each output component in place and fold
+signs, Q's +-4 and P's +-1 into additions, subtractions or one power-of-two
+scaling.  Each result equals a zero-fill-and-add loop bit for bit, except that
+an exact zero may come out as -0 where that loop gave +0.
 """
 
 from __future__ import annotations
@@ -71,36 +76,45 @@ class FormTables:
     # -- vectorized operations (leading axis = component, rest = grid) -----
 
     def _accumulate(self, entries: list[Entry], form: np.ndarray, parity: int,
-                    fill: Callable[[np.ndarray, int, np.ndarray], object],
-                    out: np.ndarray | None, term: np.ndarray | None) -> np.ndarray:
-        """Sum sign * fill(form[src], key, term) into out[dst] over entries (key, src,
-        dst, sign) in order, fill writing into ``term``; None buffers are allocated."""
+                    fill: Callable[[np.ndarray, int, np.ndarray, bool], object],
+                    out: np.ndarray | None, term: np.ndarray | None,
+                    sign: int = 1) -> np.ndarray:
+        """Sum sign * s * fill(form[src], key) into out[dst] over entries (key, src,
+        dst, s) in order; None buffers are allocated.  fill(comp, key, buf, negate)
+        writes the term, negated if ``negate``, into ``buf``: out[dst] itself for the
+        first term of each dst, ``term`` for the later ones, which are then added or
+        subtracted.  Only components that no entry touches are zeroed."""
         n_out = self.n_odd if parity == 0 else self.n_even
         out = np.empty((n_out,) + form.shape[1:], form.dtype) if out is None else out
         term = np.empty(form.shape[1:], form.dtype) if term is None else term
-        out.fill(0)
-        for key, src, dst, sign in entries:
-            fill(form[src], key, term)
-            if sign == 1:
-                out[dst] += term
+        written = set()
+        for key, src, dst, s in entries:
+            if dst in written:
+                fill(form[src], key, term, False)
+                (np.add if s * sign > 0 else np.subtract)(out[dst], term, out=out[dst])
             else:
-                out[dst] -= term
+                fill(form[src], key, out[dst], s * sign < 0)
+                written.add(dst)
+        for dst in set(range(n_out)) - written:
+            out[dst].fill(0)
         return out
 
     def clifford_apply(self, section: np.ndarray, form: np.ndarray, parity: int,
                        out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
         """(X + xi) . form for numeric fields; returns the opposite parity, written
         into ``out`` if given, with ``term`` (one component) as scratch."""
-        return self._accumulate(self.clifford[parity], form, parity,
-                                lambda comp, slot, t: np.multiply(section[slot], comp, out=t),
+        return self._accumulate(self.clifford[parity], form, parity, lambda comp, slot, t, neg:
+                                np.multiply(section[slot], -comp if neg else comp, out=t),
                                 out, term)
 
     def d_apply(self, form: np.ndarray, parity: int,
-                derivative: Callable[[np.ndarray, int, np.ndarray], object],
-                out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
-        """d(form) in one pass over ext, written into ``out`` if given:
-        derivative(form[src], i, term) writes each d(form[src])/dx_i into ``term``."""
-        return self._accumulate(self.ext[parity], form, parity, derivative, out, term)
+                derivative: Callable[[np.ndarray, int, np.ndarray, bool], object],
+                out: np.ndarray | None = None, term: np.ndarray | None = None,
+                sign: int = 1) -> np.ndarray:
+        """d(sign * form), sign = +-1, in one pass over ext, written into ``out`` if
+        given: derivative(form[src], i, buf, negate) writes d(form[src])/dx_i, negated
+        if ``negate``, into ``buf``.  The sign only swaps additions and subtractions."""
+        return self._accumulate(self.ext[parity], form, parity, derivative, out, term, sign)
 
 
 class QTables:
@@ -136,25 +150,32 @@ class QTables:
     def q_apply(self, phi: np.ndarray, out: np.ndarray | None = None,
                 term: np.ndarray | None = None) -> np.ndarray:
         """Densitized Q(phi): slots [X^1..X^5, xi_1..xi_5], written into ``out``
-        if given, with ``term`` (one component) as scratch."""
+        if given, with ``term`` (one component) as scratch.  Every merged coefficient
+        is +-4: a slot sums +-phi_a * phi_b relative to its first coefficient c, then
+        is scaled by c, which commutes with rounding (barring overflow and subnormals)."""
         out = np.empty((2 * self.dim,) + phi.shape[1:], phi.dtype) if out is None else out
         term = np.empty(phi.shape[1:], phi.dtype) if term is None else term
-        out.fill(0)
-        for slot, pairs in enumerate(self.q_pairs):
+        for slot, ((a, b, first), *rest) in enumerate(self.q_pairs):
             acc = out[slot]
-            for a, b, coeff in pairs:
-                np.multiply(phi[a], coeff, out=term)
-                term *= phi[b]
-                acc += term
+            np.multiply(phi[a], phi[b], out=acc)
+            for a, b, coeff in rest:
+                np.multiply(phi[a], phi[b], out=term)
+                (np.add if coeff == first else np.subtract)(acc, term, out=acc)
+            acc *= first
         return out
 
     def p_apply(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """Densitized symmetric P(phi, psi)."""
+        """Densitized symmetric P(phi, psi).  Every q_entries coefficient is +-2, so
+        its half (+-1) is applied exactly as an addition or a subtraction."""
         out = np.zeros((2 * self.dim,) + phi.shape[1:], dtype=phi.dtype)
+        term = np.empty((2,) + phi.shape[1:], dtype=phi.dtype)
         for slot, entries in enumerate(self.q_entries):
             acc = out[slot]
             for a, b, coeff in entries:
-                acc += (coeff * 0.5) * (phi[a] * psi[b] + psi[a] * phi[b])
+                np.multiply(phi[a], psi[b], out=term[0])
+                np.multiply(psi[a], phi[b], out=term[1])
+                term[0] += term[1]
+                (np.add if coeff > 0 else np.subtract)(acc, term[0], out=acc)
         return out
 
 
@@ -164,12 +185,13 @@ def section_inner(u: np.ndarray, v: np.ndarray, dim: int, out: np.ndarray | None
     into ``out`` if given, with ``term`` (two fields) as scratch."""
     out = np.empty(u.shape[1:], u.dtype) if out is None else out
     term = np.empty((2,) + u.shape[1:], u.dtype) if term is None else term
-    out.fill(0)
     for i in range(dim):
-        np.multiply(u[i], v[dim + i], out=term[0])
+        pair = term[0] if i else out        # the first pair is summed in place
+        np.multiply(u[i], v[dim + i], out=pair)
         np.multiply(v[i], u[dim + i], out=term[1])
-        term[0] += term[1]
-        out += term[0]
+        pair += term[1]
+        if i:
+            out += pair
     out *= 0.5
     return out
 

@@ -391,3 +391,35 @@ def test_io_validation_messages():
         gio.parse_points({"points": [["1/2"]]}, dim=3)
     with pytest.raises(gio.InputError, match="no such file"):
         gio.load_json("/nonexistent/file.json")
+
+
+def _analyze_checks(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli(["spin55", "analyze", "--normal-form", "--out", str(out)]) == 1
+    report = read(out)
+    return [(c["id"], c["passed"]) for c in report["checks"]], report
+
+
+def test_spin55_analyze_gram_failure_is_the_gram_constant_check(tmp_path, monkeypatch):
+    # a wrong (h, h) constant makes the exact Gram comparison fail
+    from fractions import Fraction
+
+    from gengeo import spin55
+
+    monkeypatch.setattr(spin55, "GRAM_HH", Fraction(1, 2))
+    checks, report = _analyze_checks(tmp_path)
+    assert checks == [("stable", True), ("gram-constant", False)]
+    assert "unexpected triple Gram" in report["checks"][1]["residual"]
+
+
+def test_spin55_analyze_normalization_failure_is_the_normalization_check(tmp_path,
+                                                                        monkeypatch):
+    # a doubled q makes <rho_hat_1, rho2> = q fail exactly
+    from gengeo.spin55 import PairAnalysis
+
+    signed = PairAnalysis.signed.func
+    monkeypatch.setattr(PairAnalysis, "signed",
+                        property(lambda self: (lambda q, s: (q + q, s))(*signed(self))))
+    checks, report = _analyze_checks(tmp_path)
+    assert checks == [("stable", True), ("normalization", False)]
+    assert "normalization failed" in report["checks"][1]["residual"]

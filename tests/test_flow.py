@@ -343,3 +343,53 @@ def test_trajectory_load_validates_shapes_and_times(tmp_path):
     back = Trajectory.load(path)
     assert [s.t for s in back.states()] == list(times)
     assert all(np.array_equal(a.rho2, b.rho2) for a, b in zip(back.states(), traj.states()))
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_run_flow_evaluates_each_states_q_once(monkeypatch):
+    # per step: Q1 and Q2 of stages 2-4, then of the new state in record; the
+    # first stage reuses the Q/f that record computed for the same state
+    from gengeo.tables import QTables
+
+    calls = _count_calls(monkeypatch, QTables, "q_apply")
+    steps = []
+    run_flow(small_cfg(steps=5), on_step=lambda s: steps.append(len(calls)))
+    assert steps[0] == 2 + 8
+    assert np.diff(steps).tolist() == [8] * 4
+
+
+def test_flow_step_with_the_states_spin_equals_flow_step_alone():
+    s = initial_state(small_cfg(epsilon=0.05))
+    ws = flow.Workspace(N)
+    spin = flow._pointwise_spin(s.rho1, s.rho2, 1e-6, s.t, ws)
+    got, want = flow_step(s, ws=ws, spin=spin), flow_step(s)
+    for a, b in ((got.rho1, want.rho1), (got.rho2, want.rho2)):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_nahm_diagnostic_builds_each_triple_once(monkeypatch):
+    cfg = small_cfg(steps=6, epsilon=0.05, ring=7, diagnostics=("nahm",))
+    calls = _count_calls(monkeypatch, flow, "signed_triple")
+    traj = run_flow(cfg)
+    assert len(calls) == 7
+    # every window's columns equal a nahm_residual that builds its own triples
+    monkeypatch.undo()
+    states = traj.states()
+    for k in range(1, 6):
+        r = nahm_residual(states[k - 1:k + 2], cfg.method, cfg.stability_floor)
+        assert traj.diagnostics[k] == {**traj.diagnostics[k], "nahm_v1": r.v1_residual,
+                                       "nahm_h": r.h_residual, "nahm_v2": r.v2_residual,
+                                       "lambda_max": r.lambda_max}
+        assert "nahm_h" in traj.diagnostics[k]
+    assert "nahm_h" not in traj.diagnostics[0] and "nahm_h" not in traj.diagnostics[6]
