@@ -30,7 +30,7 @@ import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -145,7 +145,9 @@ class SpinMemo:
     Filled by ``sixdim`` and reused for every spectral parameter z: the hat
     pair, the signed triple (v1, h, v2) and, once asked for, the Gram
     signature of span{d/dt - 2dt, v1, h, v2} and, per derivative method,
-    the multiplier lambda of the 5-d bracket [v1, v2].
+    the multiplier lambda of the 5-d bracket [v1, v2].  On the first state
+    of a checked sequence it also keeps the z checks' buffers
+    (``sixdim.ZWorkspace``), rewritten for every z.
     """
 
     floor: float
@@ -154,6 +156,7 @@ class SpinMemo:
     triple: tuple[np.ndarray, np.ndarray, np.ndarray]
     signature: tuple[int, int, int] | None = None
     lambdas: dict[str, np.ndarray] = field(default_factory=dict)
+    workspace: Any = None
 
 
 @dataclass
@@ -259,7 +262,8 @@ def grid_d(fields: np.ndarray, parity: int, n: int, method: str = "spectral",
     d-component (FormTables.d_apply), written into ``out`` if given, through the
     one-component scratch ``term``.  A negative first term is the GEMM with -D:
     GEMMs sum from +0 and -D negates every product, so the result is bitwise a
-    zero fill plus signed adds, the signs of zeros included."""
+    zero fill plus signed adds, the signs of zeros included.  With ``out`` and
+    ``term`` given, ``fields`` and ``out`` may be sequences of component views."""
     dmat = derivative_matrix(n, method)
     mats = dmat, -dmat
     return form_tables(DIM).d_apply(fields, parity, lambda comp, i, t, negate: _axis_derivative(
@@ -371,11 +375,18 @@ def rho_hat_grid(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
     return HatResult(**vars(s), hat1=hat1, hat2=hat2)
 
 
-def signed_triple(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
-                  t: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """(v1, h, v2, phi, s): s-signed normalized triple fields, shape (10, grid)."""
-    spin = _pointwise_spin(rho1, rho2, floor, t)
-    return spin.triple(rho1, rho2) + (spin.phi, spin.sign)
+def signed_triple(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6, t: float = 0.0,
+                  spin: PointwiseSpin | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """(v1, h, v2, phi, s): s-signed normalized triple fields, shape (10, grid), from
+    ``spin``, the state's Q/f at this floor, if given (its phi is copied, as it may
+    be a workspace buffer)."""
+    if spin is None:
+        spin = _pointwise_spin(rho1, rho2, floor, t)
+        phi = spin.phi
+    else:
+        phi = spin.phi.copy()
+    return spin.triple(rho1, rho2) + (phi, spin.sign)
 
 
 # -- time stepping -----------------------------------------------------------------
@@ -573,9 +584,12 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
     mean0 = mean_modes(state)
     ws = Workspace(config.n)
 
+    nahm = "nahm" in config.diagnostics
+    triples: list = []                      # signed triples of the window's states
+
     def record(s: GridState) -> PointwiseSpin:
-        # one Q/f evaluation per state feeds V, min|f|, the orbit sign and the next
-        # step's first stage (no diagnostic writes ws's Q/f)
+        # one Q/f evaluation per state feeds V, min|f|, the orbit sign, the nahm
+        # triple and the next step's first stage (no diagnostic writes ws's Q/f)
         spin = _pointwise_spin(s.rho1, s.rho2, config.stability_floor, s.t, ws)
         entry: dict = {"t": s.t}
         if "hamiltonian" in config.diagnostics:
@@ -587,16 +601,14 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
         entry["min_abs_f"] = float(np.min(np.abs(spin.f)))
         entry["orbit_sign"] = spin.sign
         traj.diagnostics.append(entry)
+        if nahm:
+            triples.append(signed_triple(s.rho1, s.rho2, config.stability_floor, s.t, spin))
         return spin
-
-    triples: list = []                      # signed triples of the window's states
 
     def record_nahm() -> None:
         # the centered residual lives at the middle of the last three states
-        if "nahm" in config.diagnostics and len(traj.ring) >= 3:
+        if nahm and len(traj.ring) >= 3:
             window = list(traj.ring)[-3:]
-            triples.extend(signed_triple(s.rho1, s.rho2, config.stability_floor, s.t)
-                           for s in window[len(triples):])
             r = nahm_residual(window, config.method, config.stability_floor, triples)
             del triples[0]
             traj.diagnostics[-2].update({
@@ -629,11 +641,15 @@ def section_pairing(u: np.ndarray, v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def bracket_from_derivatives(u: np.ndarray, v: np.ndarray, du: np.ndarray, dv: np.ndarray,
-                             dpairing: np.ndarray) -> np.ndarray:
+                             dpairing: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """[u, v] = [X_u, X_v] + L_{X_u} xi_v - L_{X_v} xi_u - d(section_pairing(u, v))/2 for
-    sections (2 dim, grid), dim = len(du), from du[a][c] = d_a u_c and dpairing[a]."""
+    sections (2 dim, grid), dim = len(du), from du[a][c] = d_a u_c and dpairing[a],
+    summed into ``out`` from zero if given."""
     dim = len(du)
-    out = np.zeros_like(u)
+    if out is None:
+        out = np.zeros_like(u)
+    else:
+        out.fill(0)
     xu, xv = u[:dim], v[:dim]
     eu, ev = u[dim:], v[dim:]
     for b in range(dim):

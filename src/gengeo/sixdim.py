@@ -9,6 +9,14 @@ plane, and sweep out a rank-4 subbundle of signature (2,2).
 
 z = 0 and z = infinity use the polynomial reductions u -> u -+ z^{-+1} v:
 u_red(0) = -2h with sigma(0) = sigma_1, u_red(inf) = +2h with sigma_2.
+
+``check_trajectory`` writes sigma(z), v(z), w(z), the checks' outputs and the
+bracket's gradients in place into one ``ZWorkspace``, kept on the first state's
+spin memo and reused for every z; called without one, ``build_sigma`` and the
+checks allocate their own.  v(z) vanishes on the d/dt and dt slots and w(z)
+holds the constants 1 and -2 there, so the checks skip or scale those terms.
+Every output component keeps its term order: only the sign of an exact zero
+can differ from the allocating formulas, and every report is unchanged.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -62,36 +71,105 @@ def _index_maps() -> dict[str, list[int]]:
     }
 
 
-def _section_to_6d(sec: np.ndarray) -> np.ndarray:
-    """Pad a spatial section (10, grid) into the 6-chart layout (12, grid)."""
-    out = np.zeros((2 * DIM6,) + sec.shape[1:], dtype=sec.dtype)
-    out[1: 1 + DIM] = sec[:DIM]
-    out[DIM6 + 1:] = sec[DIM:]
-    return out
+_DT_SECTION = {0: 1.0, DIM6: -2.0}     # d/dt - 2dt: its two nonzero slots
+# the 6-chart slots of a spatial section's 10 slots, in order
+_SPATIAL_SLOTS = tuple(k for k in range(2 * DIM6) if k not in _DT_SECTION)
 
 
 def _add_dt_section(sec: np.ndarray) -> np.ndarray:
     """sec + (d/dt - 2dt) in place on the 6-chart layout (12, grid); returns sec."""
-    sec[0] += 1.0
-    sec[DIM6] += -2.0
+    for slot, value in _DT_SECTION.items():
+        sec[slot] += value
     return sec
 
 
-def _assemble_sigma(rho_z: np.ndarray, hat_z: np.ndarray) -> np.ndarray:
-    """sigma = dt ^ hat_z + rho_z as an even form on the 6-chart."""
+def _dt_section_norm() -> float:
+    """(d/dt - 2dt, d/dt - 2dt), read at one node: the section is constant."""
+    dt_sec = _add_dt_section(np.zeros((2 * DIM6, 1)))
+    return float(section_inner(dt_sec, dt_sec, DIM6)[0])
+
+
+def _spatial(sec: np.ndarray) -> list[np.ndarray]:
+    """The 10 spatial slots of a 6-chart section, as views in 5-d slot order."""
+    return [sec[k] for k in _SPATIAL_SLOTS]
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """max |x| without an |x| copy."""
+    return float(max(x.max(), -x.min()))
+
+
+def _slice_buffers(grid: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma, v, w) buffers of one slice; v's d/dt and dt slots hold 0 and w's hold
+    d/dt - 2dt, the parts of v(z) and w(z) that do not depend on the state or z."""
+    sigma = np.empty((form_tables(DIM6).n_even,) + grid)
+    v = np.zeros((2 * DIM6,) + grid)
+    return sigma, v, _add_dt_section(np.zeros_like(v))
+
+
+class ZWorkspace:
+    """The z checks' buffers on one grid, rewritten for every z: ``count`` slices'
+    sigma, v and w (``_slice_buffers``), one shared 32-component output for the
+    Clifford actions, inner products, bracket and d sigma, a two-field scratch,
+    and the bracket's gradients, allocated on first use."""
+
+    def __init__(self, grid: tuple[int, ...], count: int = 0):
+        self.grid = grid
+        self.slices = [_slice_buffers(grid) for _ in range(count)]
+        self.out = np.empty((form_tables(DIM6).n_odd,) + grid)
+        self.term = np.empty((2,) + grid)
+        self._gradients: tuple[np.ndarray, ...] | None = None
+
+    def gradients(self) -> tuple[np.ndarray, ...]:
+        """Spacetime gradients of two sections (6, 12, grid) and of their pairing (6, grid)."""
+        if self._gradients is None:
+            sec = (DIM6, 2 * DIM6) + self.grid
+            self._gradients = np.empty(sec), np.empty(sec), np.empty((DIM6,) + self.grid)
+        return self._gradients
+
+
+def _write_slice(state: GridState, memo: SpinMemo, z: ZValue, buffers: tuple[np.ndarray, ...],
+                 term: np.ndarray) -> None:
+    """Write sigma(z) = dt ^ hat_z + rho_z and the spatial slots of v(z) and w(z) into
+    ``buffers``, one component at a time through ``term`` (one field).  Each value
+    equals the allocating formula's, bar the sign of an exact zero."""
+    sigma, v_z, w_z = buffers
+    v1, h, v2 = memo.triple
     maps = _index_maps()
-    ft6 = form_tables(DIM6)
-    sigma = np.zeros((ft6.n_even,) + rho_z.shape[1:], dtype=rho_z.dtype)
-    for src, dst in enumerate(maps["even5_even6"]):
-        sigma[dst] += rho_z[src]
-    for src, dst in enumerate(maps["odd5_dt_even6"]):
-        sigma[dst] += hat_z[src]
-    return sigma
+    parts = ((sigma, maps["even5_even6"], state.rho1, state.rho2),
+             (sigma, maps["odd5_dt_even6"], memo.hat1, memo.hat2),
+             (v_z, _SPATIAL_SLOTS, v1, v2))
+    if z == "inf" or z == 0:
+        # the reduced slices: sigma_2 and v2 at infinity, sigma_1 and v1 at 0, and
+        # w = -u_red with u_red = +-2h
+        k = 1 if z == "inf" else 0
+        for out, dst, *pair in parts:
+            for i, j in enumerate(dst):
+                np.copyto(out[j], pair[k][i])
+        for i, j in enumerate(_SPATIAL_SLOTS):
+            np.multiply(h[i], -2.0 if k else 2.0, out=w_z[j])
+        return
+    zf = float(z)
+    for out, dst, a, b in parts[:2]:            # rho1 + z rho2, hat1 + z hat2
+        for i, j in enumerate(dst):
+            np.multiply(b[i], zf, out=out[j])
+            out[j] += a[i]
+    for i, j in enumerate(_SPATIAL_SLOTS):
+        v, w = v_z[j], w_z[j]
+        np.multiply(h[i], 2 * zf, out=v)        # v = (v1 + 2z h) + z^2 v2
+        v += v1[i]
+        v += np.multiply(v2[i], zf * zf, out=term)
+        np.multiply(v2[i], zf, out=w)           # w = -u = z v2 - z^-1 v1
+        w -= np.multiply(v1[i], 1.0 / zf, out=term)
 
 
 @dataclass
 class SigmaSlice:
-    """sigma(z), v(z), w(z) and the underlying spatial data on one time slice."""
+    """sigma(z), v(z), w(z) and the underlying spatial data on one time slice.
+
+    Slices built into a ``ZWorkspace`` share its buffers and are overwritten by
+    the next z; those built without one own theirs.
+    """
 
     z: ZValue
     t: float
@@ -140,74 +218,91 @@ def _states(source: Trajectory | Sequence[GridState]) -> list[GridState]:
     return states
 
 
+def _workspace(states: Sequence[GridState], floor: float) -> ZWorkspace:
+    """The z checks' workspace for these states, kept on the first state's memo."""
+    memo = _spin_memo(states[0], floor)
+    if memo.workspace is None or len(memo.workspace.slices) < len(states):
+        memo.workspace = ZWorkspace(states[0].rho1.shape[1:], len(states))
+    return memo.workspace
+
+
 def build_sigma(source: Trajectory | Sequence[GridState], z: ZValue,
-                floor: float = 1e-6) -> list[SigmaSlice]:
+                floor: float = 1e-6, ws: ZWorkspace | None = None) -> list[SigmaSlice]:
     """Assemble sigma(z) slices (one per stored state) from a trajectory.
 
     rho_hat and the signed triple do not depend on z, so each state
     evaluates them once and keeps them in its ``spin`` memo for every later
     z and floor-matching call.  From then on the state's rho1/rho2 (and the
     memo arrays a slice's ``triple`` refers to) are read-only; copy a state
-    to modify it.
+    to modify it.  The slices are written into ``ws`` (one slice buffer per
+    state) if given, else into fresh buffers.
     """
+    states = _states(source)
+    grid = states[0].rho1.shape[1:]
+    term = np.empty(grid) if ws is None else ws.term[0]
     slices = []
-    for state in _states(source):
+    for k, state in enumerate(states):
         memo = _spin_memo(state, floor)
-        v1, h, v2 = memo.triple
-        if z == "inf":
-            rho_z = state.rho2
-            hat_z = memo.hat2
-            v_z = v2
-            u_z = 2 * h
-        elif z == 0:
-            rho_z = state.rho1
-            hat_z = memo.hat1
-            v_z = v1
-            u_z = -2 * h
-        else:
-            zf = float(z)
-            rho_z = state.rho1 + zf * state.rho2
-            hat_z = memo.hat1 + zf * memo.hat2
-            v_z = v1 + (2 * zf) * h + (zf * zf) * v2
-            u_z = (1.0 / zf) * v1 - zf * v2
-        w_z = _add_dt_section(-_section_to_6d(u_z))
-        slices.append(SigmaSlice(
-            z=z, t=state.t, n=state.n,
-            sigma=_assemble_sigma(rho_z, hat_z),
-            v_z=_section_to_6d(v_z), w_z=w_z, spin=memo,
-        ))
+        buffers = _slice_buffers(grid) if ws is None else ws.slices[k]
+        _write_slice(state, memo, z, buffers, term)
+        slices.append(SigmaSlice(z=z, t=state.t, n=state.n, sigma=buffers[0],
+                                 v_z=buffers[1], w_z=buffers[2], spin=memo))
     return slices
 
 
 # -- pointwise checks -----------------------------------------------------------
 
 
-def annihilator_check(s: SigmaSlice) -> tuple[float, float]:
-    """Max-abs of v(z).sigma(z) and w(z).sigma(z) over all nodes."""
+@lru_cache(maxsize=None)
+def _entries(skip_dt_slots: bool) -> list:
+    """The 6-d Clifford entries on even forms grouped by output component, each
+    component's terms in table order (a stable sort), so that each output stays in
+    cache while it is summed; without the d/dt and dt slots if ``skip_dt_slots``."""
+    entries = form_tables(DIM6).clifford[0]
+    if skip_dt_slots:
+        entries = [e for e in entries if e[0] not in _DT_SECTION]
+    return sorted(entries, key=lambda e: e[2])
+
+
+def annihilator_check(s: SigmaSlice, ws: ZWorkspace | None = None) -> tuple[float, float]:
+    """Max-abs of v(z).sigma(z) and w(z).sigma(z) over all nodes, each written into
+    ``ws.out`` (a fresh workspace's if None).
+
+    v(z) vanishes on the d/dt and dt slots, so their terms are left out, and w(z)
+    holds the constants of d/dt - 2dt there, applied as scalars: an output can
+    differ only in the sign of an exact zero, which max|.| ignores.
+    """
     ft6 = form_tables(DIM6)
-    rv = ft6.clifford_apply(s.v_z, s.sigma, 0)
-    rw = ft6.clifford_apply(s.w_z, s.sigma, 0)
-    return float(np.max(np.abs(rv))), float(np.max(np.abs(rw)))
+    ws = ZWorkspace(s.sigma.shape[1:]) if ws is None else ws
+    w = list(s.w_z)
+    for slot, value in _DT_SECTION.items():
+        w[slot] = value
+    ft6.clifford_apply(s.v_z, s.sigma, 0, ws.out, ws.term[0], _entries(True))
+    av = _max_abs(ws.out)
+    ft6.clifford_apply(w, s.sigma, 0, ws.out, ws.term[0], _entries(False))
+    return av, _max_abs(ws.out)
+
+
+@lru_cache(maxsize=None)
+def _clifford_columns() -> tuple[np.ndarray, ...]:
+    """The 6-d Clifford entries on even forms as (slot, src, dst, sign) index arrays."""
+    return tuple(np.array(col) for col in zip(*form_tables(DIM6).clifford[0]))
 
 
 def annihilator_nullity(s: SigmaSlice) -> int:
     """Minimum nullity of the Clifford-action matrix over about 64 sampled nodes.
 
-    Rows are e_a . sigma for the 12 pointwise basis sections; the
-    annihilator of sigma(z) must contain span{v(z), w(z)}, so the nullity
-    is at least 2.
+    Rows are e_a . sigma for the 12 pointwise basis sections, each read off its
+    slot's table entries (one per (slot, dst) pair); the annihilator of sigma(z)
+    must contain span{v(z), w(z)}, so the nullity is at least 2.
     """
     ft6 = form_tables(DIM6)
     flat = s.sigma.reshape(s.sigma.shape[0], -1)
     stride = max(1, flat.shape[1] // 64)
     sigma_nodes = flat[:, ::stride]
-    basis = np.zeros((2 * DIM6, sigma_nodes.shape[1]))
-    rows = []
-    for a in range(2 * DIM6):
-        basis[:] = 0.0
-        basis[a] = 1.0
-        rows.append(ft6.clifford_apply(basis, sigma_nodes, 0))
-    mats = np.stack(rows).transpose(2, 0, 1)      # (node, section, odd component)
+    slot, src, dst, sign = _clifford_columns()
+    mats = np.zeros((sigma_nodes.shape[1], 2 * DIM6, ft6.n_odd))   # (node, section, odd comp)
+    mats[:, slot, dst] = (sign[:, None] * sigma_nodes[src]).T
     svals = np.linalg.svd(mats, compute_uv=False)
     scale = np.where(svals[:, 0] > 0, svals[:, 0], 1.0)
     nullity = np.sum(svals < 1e-9 * scale[:, None], axis=1)
@@ -228,13 +323,13 @@ def gram_signature(s: SigmaSlice) -> tuple[int, int, int]:
 
 
 def _triple_signature(triple: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[int, int, int]:
-    v1, h, v2 = (_section_to_6d(x) for x in triple)
-    basis = [_add_dt_section(np.zeros_like(v1)), v1, h, v2]
-    grid_shape = v1.shape[1:]
-    gram = np.zeros(grid_shape + (4, 4))
-    for i in range(4):
-        for j in range(4):
-            gram[..., i, j] = section_inner(basis[i], basis[j], DIM6)
+    # d/dt - 2dt is constant and pairs to zero with the spatial triple, whose 6-chart
+    # padding adds only exact zeros: six 5-d inner products fill the Gram matrix
+    # (section_inner is symmetric bit for bit)
+    gram = np.zeros(triple[0].shape[1:] + (4, 4))
+    gram[..., 0, 0] = _dt_section_norm()
+    for i, j in combinations_with_replacement(range(3), 2):
+        gram[..., i + 1, j + 1] = gram[..., j + 1, i + 1] = section_inner(triple[i], triple[j], DIM)
     eig = np.linalg.eigvalsh(gram.reshape(-1, 4, 4))
     scale = np.max(np.abs(eig))
     pos = (eig > 1e-9 * scale).sum(axis=1)
@@ -263,28 +358,38 @@ def _central_slices(slices: Sequence[SigmaSlice]
     return prev, mid, nxt, dt
 
 
-def _time_derivative(arrays: Sequence[np.ndarray], dt: float) -> np.ndarray:
-    return (arrays[2] - arrays[0]) / (2 * dt)
+def _time_derivative(arrays: Sequence[np.ndarray], dt: float,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    out = np.subtract(arrays[2], arrays[0], out=out)
+    out /= 2 * dt
+    return out
 
 
-def _spacetime_gradient(slices: Sequence[np.ndarray], n: int, dt: float, method: str) -> np.ndarray:
-    """(d/dt, d/dx_1..d/dx_5) of the middle slice, d/dt by central differences."""
-    out = np.empty((DIM6,) + slices[1].shape)
-    out[0] = _time_derivative(slices, dt)
+def _spacetime_gradient(slices: Sequence[np.ndarray], n: int, dt: float, method: str,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """(d/dt, d/dx_1..d/dx_5) of the middle slice, d/dt by central differences,
+    written into ``out`` if given."""
+    out = np.empty((DIM6,) + slices[1].shape) if out is None else out
+    _time_derivative(slices, dt, out[0])
     gradient(slices[1], n, method, out=out[1:])
     return out
 
 
 def courant_bracket_6d(u_slices: Sequence[np.ndarray], v_slices: Sequence[np.ndarray],
-                       n: int, dt: float, method: str = "spectral") -> np.ndarray:
-    """[u, v] on the 6-chart at the middle slice.
+                       n: int, dt: float, method: str = "spectral",
+                       ws: ZWorkspace | None = None) -> np.ndarray:
+    """[u, v] on the 6-chart at the middle slice, through ``ws``'s gradients into
+    ``ws.out[:12]`` if given.
 
     Sections are (12, grid) per slice; the time axis enters through central
     differences of the slice sequence, the spatial axes spectrally.
     """
     pairings = [section_pairing(us, vs, DIM6) for us, vs in zip(u_slices, v_slices)]
+    grads = (None,) * 3 if ws is None else ws.gradients()
     return bracket_from_derivatives(u_slices[1], v_slices[1], *(
-        _spacetime_gradient(slices, n, dt, method) for slices in (u_slices, v_slices, pairings)))
+        _spacetime_gradient(slices, n, dt, method, out)
+        for slices, out in zip((u_slices, v_slices, pairings), grads)),
+        out=None if ws is None else ws.out[:2 * DIM6])
 
 
 @dataclass
@@ -311,62 +416,80 @@ class EzReport:
         return self.isotropy_residual < 1e-10
 
 
-def ez_check(slices: Sequence[SigmaSlice], method: str = "spectral") -> EzReport:
-    """Inner products among {v(z), w(z)} and the [w(z), v(z)] = lambda v(z) residual."""
+def _lambda5(memo: SpinMemo, n: int, method: str) -> np.ndarray:
+    """lambda of the 5-d [v1, v2], z-independent: once per state and method, kept
+    read-only like the other memo arrays."""
+    lam5 = memo.lambdas.get(method)
+    if lam5 is None:
+        v1, h, v2 = memo.triple
+        lam5 = lambda_field(h, courant_bracket_grid(v1, v2, n, method))
+        lam5.flags.writeable = False
+        memo.lambdas[method] = lam5
+    return lam5
+
+
+def ez_check(slices: Sequence[SigmaSlice], method: str = "spectral",
+             ws: ZWorkspace | None = None) -> EzReport:
+    """Inner products among {v(z), w(z)} and the [w(z), v(z)] = lambda v(z) residual,
+    built in ``ws`` (a fresh workspace if None).
+
+    v(z) and u(z) = d/dt - 2dt - w(z) vanish on the d/dt and dt slots, so their
+    inner products sum the five spatial pairs only (the dropped pairs are exact
+    zeros); (d/dt - 2dt, d/dt - 2dt) is constant and read at one node.
+    """
     prev, mid, nxt, dt = _central_slices(slices)
 
-    # lambda of the 5-d [v1, v2] is z-independent: once per state and method, and
     # first, so that the kept array is not allocated amid this call's temporaries
-    lam5 = mid.spin.lambdas.get(method)
-    if lam5 is None:
-        v1m, hm, v2m = mid.triple
-        lam5 = lambda_field(hm, courant_bracket_grid(v1m, v2m, mid.n, method))
-        lam5.flags.writeable = False    # read-only like the other memo arrays
-        mid.spin.lambdas[method] = lam5
-
-    vv = section_inner(mid.v_z, mid.v_z, DIM6)
-    vw = section_inner(mid.v_z, mid.w_z, DIM6)
-    ww = section_inner(mid.w_z, mid.w_z, DIM6)
-    # u(z) = d/dt - 2dt - w(z); (u,u) = 2 and (d/dt-2dt, ...) = -2 feed (w,w) = 0
-    u_mid = _add_dt_section(-mid.w_z)
-    uu = section_inner(u_mid, u_mid, DIM6)
-    dt_sec = _add_dt_section(np.zeros_like(mid.w_z))
-    dtdt = section_inner(dt_sec, dt_sec, DIM6)
-    bracket = courant_bracket_6d([s.w_z for s in (prev, mid, nxt)],
-                                 [s.v_z for s in (prev, mid, nxt)], mid.n, dt, method)
-    residual = bracket - lam5 * mid.v_z
+    lam5 = _lambda5(mid.spin, mid.n, method)
+    ws = ZWorkspace(mid.v_z.shape[1:]) if ws is None else ws
+    out, term = ws.out, ws.term
+    v, w = _spatial(mid.v_z), _spatial(mid.w_z)
+    vv = _max_abs(section_inner(v, v, DIM, out[0], term))
+    vw = _max_abs(section_inner(v, w, DIM, out[0], term))
+    ww = _max_abs(section_inner(mid.w_z, mid.w_z, DIM6, out[0], term))
+    # (u,u) = 2 and (d/dt-2dt, d/dt-2dt) = -2 feed (w,w) = 0; u = -w on the spatial slots
+    uu = section_inner(w, w, DIM, out[0], term)
+    uu_minus_two = _max_abs(np.subtract(uu, 2.0, out=uu))
+    residual = courant_bracket_6d([s.w_z for s in (prev, mid, nxt)],
+                                  [s.v_z for s in (prev, mid, nxt)], mid.n, dt, method, ws)
+    residual -= np.multiply(mid.v_z, lam5, out=out[2 * DIM6:4 * DIM6])
     return EzReport(
         z=mid.z,
         t=mid.t,
-        vv_max=float(np.max(np.abs(vv))),
-        vw_max=float(np.max(np.abs(vw))),
-        ww_max=float(np.max(np.abs(ww))),
-        uu_minus_two_max=float(np.max(np.abs(uu - 2.0))),
-        dt_section_norm_plus_two=float(np.max(np.abs(dtdt + 2.0))),
-        bracket_residual=grid_norm(residual, lattice_cell_volume(mid.n)),
-        lambda_max=float(np.max(np.abs(lam5))),
+        vv_max=vv,
+        vw_max=vw,
+        ww_max=ww,
+        uu_minus_two_max=uu_minus_two,
+        dt_section_norm_plus_two=abs(_dt_section_norm() + 2.0),
+        bracket_residual=grid_norm(residual, lattice_cell_volume(mid.n), out=residual),
+        lambda_max=_max_abs(lam5),
     )
 
 
-def dsigma_residual(slices: Sequence[SigmaSlice], method: str = "spectral") -> float:
-    """|d sigma| at the middle slice: spatial d plus central time differences.
+def dsigma_residual(slices: Sequence[SigmaSlice], method: str = "spectral",
+                    ws: ZWorkspace | None = None) -> float:
+    """|d sigma| at the middle slice: spatial d plus central time differences, built
+    in ``ws.out`` (a fresh workspace's if None).
 
     d sigma = d5 rho(z) + dt ^ (d rho(z)/dt - d5 rho_hat(z)); closedness of
-    the flow data makes this O(dt^2) plus spatial truncation.
+    the flow data makes this O(dt^2) plus spatial truncation.  rho(z) and
+    rho_hat(z) are read in place from their components of sigma.
     """
     prev, mid, nxt, dt = _central_slices(slices)
     maps = _index_maps()
-    ft6 = form_tables(DIM6)
-    rho = [s.rho_z for s in (prev, mid, nxt)]
-    spatial = grid_d(rho[1], 0, mid.n, method)
-    dt_part = _time_derivative(rho, dt)
-    dt_part -= grid_d(mid.hat_z, 1, mid.n, method)
-    residual = np.zeros((ft6.n_odd,) + mid.sigma.shape[1:])
-    for src, dst in enumerate(maps["odd5_odd6"]):
-        residual[dst] += spatial[src]
-    for src, dst in enumerate(maps["even5_dt_odd6"]):
-        residual[dst] += dt_part[src]
-    return grid_norm(residual, lattice_cell_volume(mid.n))
+    ws = ZWorkspace(mid.sigma.shape[1:]) if ws is None else ws
+    out, term = ws.out, ws.term[0]
+    rho_at, hat_at = maps["even5_even6"], maps["odd5_dt_even6"]
+    dt_part = [out[k] for k in maps["even5_dt_odd6"]]
+    grid_d([mid.sigma[k] for k in rho_at], 0, mid.n, method,
+           [out[k] for k in maps["odd5_odd6"]], term)
+    # -d5 rho_hat(z) first, then + d rho(z)/dt: the same sum as d rho/dt - d5 rho_hat
+    grid_d([mid.sigma[k] for k in hat_at], 1, mid.n, method, dt_part, term, sign=-1)
+    for k, acc in zip(rho_at, dt_part):
+        np.subtract(nxt.sigma[k], prev.sigma[k], out=term)
+        term /= 2 * dt
+        acc += term
+    return grid_norm(out, lattice_cell_volume(mid.n), out=out)
 
 
 @dataclass
@@ -391,7 +514,9 @@ def check_trajectory(source: Trajectory | Sequence[GridState],
 
     The z-independent fields, the signature included, are memoized on the
     states (see ``build_sigma``), so repeated calls on one trajectory
-    evaluate them once; the states' rho1/rho2 become read-only.
+    evaluate them once; the states' rho1/rho2 become read-only.  Every z
+    is checked in the one ``ZWorkspace`` kept on the first state's memo, so
+    calls on one trajectory must not run concurrently.
     """
     states = _states(source)
     ann_v: dict[str, float] = {}
@@ -401,20 +526,25 @@ def check_trajectory(source: Trajectory | Sequence[GridState],
     dsig: dict[str, float] = {}
     signature = None
     if z_values:
-        first = _spin_memo(states[0], floor)
-        if first.signature is None:
-            first.signature = _triple_signature(first.triple)
-        signature = first.signature
+        # the z-independent fields first, so that the workspace, allocated once,
+        # can reuse the pages of their temporaries
+        memos = [_spin_memo(state, floor) for state in states]
+        if memos[0].signature is None:
+            memos[0].signature = _triple_signature(memos[0].triple)
+        signature = memos[0].signature
+        if len(states) >= 3:
+            _lambda5(memos[-2], states[-2].n, method)
+        ws = _workspace(states, floor)
     for z in z_values:
         key = str(z)
-        slices = build_sigma(states, z, floor)
-        checks = [annihilator_check(s) for s in slices]
+        slices = build_sigma(states, z, floor, ws)
+        checks = [annihilator_check(s, ws) for s in slices]
         ann_v[key] = max(c[0] for c in checks)
         ann_w[key] = max(c[1] for c in checks)
         nullity[key] = annihilator_nullity(slices[0])
         if len(slices) >= 3:
-            ez[key] = ez_check(slices, method)
-            dsig[key] = dsigma_residual(slices, method)
+            ez[key] = ez_check(slices, method, ws)
+            dsig[key] = dsigma_residual(slices, method, ws)
     return SixdimReport(
         z_values=[str(z) for z in z_values],
         annihilator_v=ann_v,

@@ -100,10 +100,15 @@ class FormTables:
         return out
 
     def clifford_apply(self, section: np.ndarray, form: np.ndarray, parity: int,
-                       out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
+                       out: np.ndarray | None = None, term: np.ndarray | None = None,
+                       entries: list[Entry] | None = None) -> np.ndarray:
         """(X + xi) . form for numeric fields; returns the opposite parity, written
-        into ``out`` if given, with ``term`` (one component) as scratch."""
-        return self._accumulate(self.clifford[parity], form, parity, lambda comp, slot, t, neg:
+        into ``out`` if given, with ``term`` (one component) as scratch.  ``entries``, a
+        subset of ``clifford[parity]`` that keeps each output component's terms in
+        table order, may leave out the slots on which the section vanishes; a slot of
+        ``section`` may be a float constant."""
+        entries = self.clifford[parity] if entries is None else entries
+        return self._accumulate(entries, form, parity, lambda comp, slot, t, neg:
                                 np.multiply(section[slot], -comp if neg else comp, out=t),
                                 out, term)
 

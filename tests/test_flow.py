@@ -393,3 +393,25 @@ def test_nahm_diagnostic_builds_each_triple_once(monkeypatch):
                                        "lambda_max": r.lambda_max}
         assert "nahm_h" in traj.diagnostics[k]
     assert "nahm_h" not in traj.diagnostics[0] and "nahm_h" not in traj.diagnostics[6]
+
+
+def test_nahm_diagnostic_adds_no_q_evaluation(monkeypatch):
+    # each state's signed triple reuses the Q/f that record computed for the state
+    from gengeo.tables import QTables
+
+    counts = []
+    for diagnostics in (("nahm",), ()):
+        calls = _count_calls(monkeypatch, QTables, "q_apply")
+        run_flow(small_cfg(steps=6, epsilon=0.05, diagnostics=diagnostics))
+        counts.append(len(calls))
+        monkeypatch.undo()
+    assert counts == [50, 50]
+
+
+def test_signed_triple_from_a_workspace_spin_owns_its_phi():
+    s = initial_state(small_cfg(epsilon=0.05))
+    ws = flow.Workspace(N)
+    spin = flow._pointwise_spin(s.rho1, s.rho2, 1e-6, s.t, ws)
+    got, want = signed_triple(s.rho1, s.rho2, spin=spin), signed_triple(s.rho1, s.rho2)
+    assert got[4] == want[4] and all(np.array_equal(a, b) for a, b in zip(got[:4], want[:4]))
+    assert not np.shares_memory(got[3], ws.phi)
