@@ -377,7 +377,10 @@ NORMALIZATION_CHECK = ("normalization", "<rho_hat_1, rho2> = phi")
 def spin55_analyze(rho: RhoPair, points=None) -> Report:
     pair = PairAnalysis(rho)    # every exact quantity of the pair, evaluated once
     stability = is_stable(pair, points)
-    report = Report("spin55-analyze", {"points": [list(map(str, p)) for p in stability.points]})
+    # the sample points test stability; the orbit sign comes from the sign points
+    report = Report("spin55-analyze", {
+        "points": [list(map(str, p)) for p in stability.points],
+        "sign_points": [list(map(str, p)) for p in pair.sign_points]})
     payload: dict = {
         "stable": stability.all_stable,
         "orbit_sign": stability.orbit_sign,

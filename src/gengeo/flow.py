@@ -14,12 +14,25 @@ is symmetric: the flow transports the total volume V monotonically
 recorded; convergence of V at fixed final time measures the stepper's
 fourth order.
 
-Each ``run_flow`` owns one ``Workspace``: the RK4 stages, their Q/f and hat
-fields, and the per-step diagnostics write into its buffers, so a step
+Each ``run_flow`` owns one ``Workspace``: the RK4 stages, their Q/f fields
+and slopes, and the per-step diagnostics write into its buffers, so a step
 allocates only the new state's arrays, k1 written straight into them.  No
 step writes into its input, so the trajectory ring holds the live states, not
-copies.  The Q/f recorded for a state feeds the next step's first stage, and
-the orbit sign of rho_hat is folded into ``grid_d``, not applied to the hat.
+copies.  The Q/f recorded for a state feeds the next step's first stage.
+
+Each half of a slope, d rho_hat_i, is one stream over the 16 hat components:
+component src is built from its Clifford entries into one scratch component
+and its d terms are added to the slope straight away (``d_apply`` reads its
+sources in order), with the orbit sign folded into ``grid_d``; no full hat
+is stored.  ``closedness_norms`` builds each d rho_i in the workspace's
+slope ``k[i]``, which is free while a state is recorded.
+
+Where the flow treats rho1 and rho2 alike (the two Q's, the two halves of a
+slope, the RK4 updates and the two closedness norms), ``_halves`` runs half 0
+on the calling thread and half 1 on one helper thread per process, started on
+first use; on a one-CPU process both run inline.  Every result is bitwise
+the serial one.  Calls that share one ``Workspace`` must not run
+concurrently.
 """
 
 from __future__ import annotations
@@ -27,6 +40,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import queue
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -182,6 +198,63 @@ class GridState:
         return lattice_cell_volume(self.n)
 
 
+# -- the two halves of a pair --------------------------------------------------
+
+
+class _Helper:
+    """The thread that runs half 1 of every ``_halves`` call in this process."""
+
+    def __init__(self):
+        self.tasks: queue.SimpleQueue = queue.SimpleQueue()
+        self.thread = threading.Thread(target=self._serve, name="gengeo-flow-half",
+                                       daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self._run(*self.tasks.get())
+
+    @staticmethod
+    def _run(fn: Callable[[int], Any], done: queue.SimpleQueue) -> None:
+        # a frame of its own, so that no task outlives its call (fn may hold a state)
+        try:
+            done.put((fn(1), None))
+        except BaseException as exc:        # handed to the caller, which raises it
+            done.put((None, exc))
+
+
+_helper: list[_Helper] = []                 # the process's helper, once started
+_helper_lock = threading.Lock()
+os.register_at_fork(after_in_child=_helper.clear)   # a forked child has no helper thread
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _halves(fn: Callable[[int], Any]) -> list:
+    """[fn(0), fn(1)], fn(0) on the calling thread while the helper thread runs fn(1);
+    both inline when this process may use one CPU only or when called from the
+    helper itself.  Returns only once both halves have finished, even when fn(0)
+    raises; then fn(0)'s exception is raised, else fn(1)'s."""
+    if _cpus() < 2 or (_helper and threading.current_thread() is _helper[0].thread):
+        return [fn(0), fn(1)]
+    with _helper_lock:
+        if not _helper:
+            _helper.append(_Helper())
+    done: queue.SimpleQueue = queue.SimpleQueue()
+    _helper[0].tasks.put((fn, done))
+    try:
+        first = fn(0)
+    finally:
+        second, exc = done.get()
+    if exc is not None:
+        raise exc
+    return [first, second]
+
+
 # -- derivatives ---------------------------------------------------------------
 
 
@@ -296,30 +369,33 @@ class HatResult(PointwiseSpin):
 
 
 class SpinBuffers:
-    """Outputs and scratch of the spin kernels on one grid: Q1, Q2, v = Q/phi, one
-    16-component field (a hat or a d), f, phi and two scalar term fields."""
+    """Outputs and scratch of the Q/f kernels on one grid: Q1, Q2, f, phi and two
+    scalar term fields, one per half."""
 
     def __init__(self, grid: tuple[int, ...]):
-        self.q1, self.q2, self.v = (np.empty((2 * DIM,) + grid) for _ in range(3))
-        self.hat = np.empty((N_COEFF,) + grid)
+        self.q1, self.q2 = (np.empty((2 * DIM,) + grid) for _ in range(2))
         self.f, self.phi = np.empty(grid), np.empty(grid)
         self.terms = np.empty((2,) + grid)
 
 
 class Workspace(SpinBuffers):
-    """One run's buffers at grid size n: the spin buffers plus the RK4 stage input
-    and slopes, each a (rho1, rho2) pair of shape (2, 16, grid)."""
+    """One run's buffers at grid size n: the Q/f buffers and, per half, v = Q/phi
+    (2, 10, grid) and one scalar hat component, plus the RK4 stage input and slopes,
+    each a (rho1, rho2) pair of shape (2, 16, grid).  Calls that share one Workspace
+    must not run concurrently."""
 
     def __init__(self, n: int):
-        super().__init__((n,) * DIM)
-        self.stage, self.k = np.empty((2, 2, N_COEFF) + (n,) * DIM)
+        grid = (n,) * DIM
+        super().__init__(grid)
+        self.v = np.empty((2, 2 * DIM) + grid)
+        self.hat = np.empty((2,) + grid)
+        self.stage, self.k = np.empty((2, 2, N_COEFF) + grid)
 
 
 def _q_f(rho1: np.ndarray, rho2: np.ndarray, ws: SpinBuffers) -> np.ndarray:
     """Q(rho1), Q(rho2) into ws.q1, ws.q2 and f = (Q1, Q2) into ws.f; returns ws.f."""
     qt = q_tables()
-    qt.q_apply(rho1, ws.q1, ws.terms[0])
-    qt.q_apply(rho2, ws.q2, ws.terms[0])
+    _halves(lambda i: qt.q_apply((rho1, rho2)[i], (ws.q1, ws.q2)[i], ws.terms[i]))
     return section_inner(ws.q1, ws.q2, DIM, ws.f, ws.terms)
 
 
@@ -355,13 +431,15 @@ def _pointwise_spin(rho1: np.ndarray, rho2: np.ndarray, floor: float, t: float,
     return PointwiseSpin(ws.q1, ws.q2, f, phi, sign)
 
 
-def _hat(spin: PointwiseSpin, i: int, rho: Sequence[np.ndarray], ws: SpinBuffers,
-         out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Half i of rho_hat = s (v1.rho2, -v2.rho1) as (v.rho, its sign), v built in ws.v
-    and v.rho written into ``out`` if given; the sign is left to the caller."""
+def _v(spin: PointwiseSpin, i: int, rho: Sequence[np.ndarray], v: np.ndarray
+       ) -> tuple[np.ndarray, int]:
+    """Half i of rho_hat = s (v1.rho2, -v2.rho1): v = Q_i/phi written into ``v`` one
+    component at a time (a broadcast divide would take a ufunc buffer per thread);
+    returns the form v acts on and the sign."""
     q, other, sign = (spin.q1, rho[1], spin.sign) if i == 0 else (spin.q2, rho[0], -spin.sign)
-    np.divide(q, spin.phi, out=ws.v)
-    return form_tables(DIM).clifford_apply(ws.v, other, 0, out, ws.terms[0]), sign
+    for qc, vc in zip(q, v):
+        np.divide(qc, spin.phi, out=vc)
+    return other, sign
 
 
 def rho_hat_grid(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
@@ -369,10 +447,39 @@ def rho_hat_grid(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
     """Nodewise rho_hat = s (v1.rho2, -v2.rho1) with v_i = Q_i / phi."""
     ws = SpinBuffers(rho1.shape[1:])
     s = _pointwise_spin(rho1, rho2, floor, t, ws)
-    (hat1, s1), (hat2, s2) = _hat(s, 0, (rho1, rho2), ws, ws.hat), _hat(s, 1, (rho1, rho2), ws)
-    hat1 *= s1
-    hat2 *= s2
-    return HatResult(**vars(s), hat1=hat1, hat2=hat2)
+    v, hats = np.empty_like(s.q1), []
+    for i in range(2):
+        other, sign = _v(s, i, (rho1, rho2), v)
+        hats.append(form_tables(DIM).clifford_apply(v, other, 0, None, ws.terms[0]))
+        hats[i] *= sign
+    return HatResult(**vars(s), hat1=hats[0], hat2=hats[1])
+
+
+class _OnDemand:
+    """A form read in component order, component src built by build(src, buf) into
+    the one buffer ``buf`` when it is first read."""
+
+    def __init__(self, build: Callable[[int, np.ndarray], Any], buf: np.ndarray):
+        self.build, self.buf, self.src = build, buf, -1
+
+    def __getitem__(self, src: int) -> np.ndarray:
+        if src != self.src:
+            self.build(src, self.buf)
+            self.src = src
+        return self.buf
+
+
+def _slope(spin: PointwiseSpin, i: int, rho: Sequence[np.ndarray], ws: Workspace,
+           out: np.ndarray, n: int, method: str) -> None:
+    """Half i of d rho_hat into ``out``: each hat component v.rho is built into ws.hat[i]
+    as ``grid_d`` first reads it, bitwise the components of ``clifford_apply``.  Both
+    use ws.terms[i], one after the other."""
+    v = ws.v[i]
+    other, sign = _v(spin, i, rho, v)
+    ft, term = form_tables(DIM), ws.terms[i]
+    hat = _OnDemand(lambda src, buf: ft.clifford_component(v, other, 0, src, buf, term),
+                    ws.hat[i])
+    grid_d(hat, 1, n, method, out, term, sign)
 
 
 def signed_triple(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6, t: float = 0.0,
@@ -408,25 +515,27 @@ def flow_step(state: GridState, method: str = "spectral", floor: float = 1e-6,
     def slopes(rho: Sequence[np.ndarray], tc: float, out: np.ndarray,
                spin: PointwiseSpin | None = None) -> None:
         spin = _pointwise_spin(rho[0], rho[1], floor, tc, ws) if spin is None else spin
-        for i in range(2):
-            hat, sign = _hat(spin, i, rho, ws, ws.hat)
-            grid_d(hat, 1, n, method, out[i], ws.terms[0], sign)
+        _halves(lambda i: _slope(spin, i, rho, ws, out[i], n, method))
+
+    def next_stage(i: int, j: int, c: float) -> None:
+        np.multiply(k[i] if j else acc[i], c, out=stage[i])
+        stage[i] += r[i]
+        if j:                               # k2 and k3 enter the sum twice
+            k[i] *= 2
+            acc[i] += k[i]
+
+    def last(i: int) -> None:
+        acc[i] += k[i]
+        acc[i] *= dt / 6.0
+        acc[i] += r[i]
 
     acc = np.empty_like(k)
     slopes(r, t, acc, spin)                 # k1, in the new state's pair
     for j, (c, tc) in enumerate(((0.5 * dt, t + 0.5 * dt), (0.5 * dt, t + 0.5 * dt),
                                  (dt, t + dt))):
-        np.multiply(k if j else acc, c, out=stage)
-        for st, rr in zip(stage, r):
-            st += rr
-        if j:                               # k2 and k3 enter the sum twice
-            k *= 2
-            acc += k
+        _halves(lambda i: next_stage(i, j, c))
         slopes(stage, tc, k)
-    acc += k
-    acc *= dt / 6.0
-    for a, rr in zip(acc, r):
-        a += rr
+    _halves(last)
     return GridState(n, acc[0], acc[1], t + dt, dt)
 
 
@@ -453,12 +562,15 @@ def mean_modes(state: GridState) -> np.ndarray:
 
 
 def closedness_norms(state: GridState, method: str = "spectral",
-                     ws: SpinBuffers | None = None) -> tuple[float, float]:
-    """L2 norms of d rho1 and d rho2, each d built and squared in ws.hat (fresh
-    buffers if None)."""
-    ws = SpinBuffers(state.rho1.shape[1:]) if ws is None else ws
-    return tuple(grid_norm(grid_d(rho, 0, state.n, method, ws.hat, ws.terms[0]),
-                           state.cell_volume, out=ws.hat) for rho in (state.rho1, state.rho2))
+                     ws: Workspace | None = None) -> tuple[float, float]:
+    """L2 norms of d rho1 and d rho2, one per half, each d built and squared in
+    ws.k[i] with ws.terms[i] as scratch (fresh buffers if None)."""
+    grid = state.rho1.shape[1:]
+    d, terms = ((np.empty((2, N_COEFF) + grid), np.empty((2,) + grid)) if ws is None
+                else (ws.k, ws.terms))
+    return tuple(_halves(lambda i: grid_norm(
+        grid_d((state.rho1, state.rho2)[i], 0, state.n, method, d[i], terms[i]),
+        state.cell_volume, out=d[i])))
 
 
 def grid_norm(fields: np.ndarray, cell_volume: float, out: np.ndarray | None = None) -> float:
@@ -589,7 +701,8 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
 
     def record(s: GridState) -> PointwiseSpin:
         # one Q/f evaluation per state feeds V, min|f|, the orbit sign, the nahm
-        # triple and the next step's first stage (no diagnostic writes ws's Q/f)
+        # triple and the next step's first stage (no diagnostic writes ws's Q/f;
+        # closedness writes ws.k, which the next step overwrites before reading)
         spin = _pointwise_spin(s.rho1, s.rho2, config.stability_floor, s.t, ws)
         entry: dict = {"t": s.t}
         if "hamiltonian" in config.diagnostics:

@@ -290,6 +290,8 @@ class PairAnalysis:
     the same error.
     """
 
+    sign_points = DEFAULT_PROBE_POINTS    # where ``signed`` probes the orbit sign
+
     def __init__(self, rho: RhoPair):
         self.rho = rho
         self.q1 = q_vector(rho.rho1)
@@ -299,7 +301,7 @@ class PairAnalysis:
     @cached_property
     def signed(self) -> tuple[Polynomial, int]:
         """(q, s) with q = s*f positive on the orbit; phi^2 = q."""
-        s = _probe(self.f, DEFAULT_PROBE_POINTS).sign()
+        s = _probe(self.f, self.sign_points).sign()
         return (self.f if s > 0 else -self.f), s
 
     @cached_property

@@ -14,7 +14,7 @@ an exact zero may come out as -0 where that loop gave +0.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Callable
 
@@ -73,6 +73,16 @@ class FormTables:
                 val = mukai_pairing(form, MixedForm.basis(chart, complement))
                 self.mukai.setdefault((parity, pb), []).append((src, b, int(val.constant_value())))
 
+    @cached_property
+    def clifford_by_dst(self) -> dict[int, list[list[Entry]]]:
+        """clifford[parity] split by output component, each in table order, with dst
+        set to 0 so that it sums into a one-component out (``clifford_component``)."""
+        by_dst = {0: [[] for _ in range(self.n_odd)], 1: [[] for _ in range(self.n_even)]}
+        for parity, entries in self.clifford.items():
+            for slot, src, dst, s in entries:
+                by_dst[parity][dst].append((slot, src, 0, s))
+        return by_dst
+
     # -- vectorized operations (leading axis = component, rest = grid) -----
 
     def _accumulate(self, entries: list[Entry], form: np.ndarray, parity: int,
@@ -83,9 +93,11 @@ class FormTables:
         dst, s) in order; None buffers are allocated.  fill(comp, key, buf, negate)
         writes the term, negated if ``negate``, into ``buf``: out[dst] itself for the
         first term of each dst, ``term`` for the later ones, which are then added or
-        subtracted.  Only components that no entry touches are zeroed."""
-        n_out = self.n_odd if parity == 0 else self.n_even
-        out = np.empty((n_out,) + form.shape[1:], form.dtype) if out is None else out
+        subtracted.  Only components of ``out`` (any sequence of components) that no
+        entry touches are zeroed."""
+        if out is None:
+            n_out = self.n_odd if parity == 0 else self.n_even
+            out = np.empty((n_out,) + form.shape[1:], form.dtype)
         term = np.empty(form.shape[1:], form.dtype) if term is None else term
         written = set()
         for key, src, dst, s in entries:
@@ -95,7 +107,7 @@ class FormTables:
             else:
                 fill(form[src], key, out[dst], s * sign < 0)
                 written.add(dst)
-        for dst in set(range(n_out)) - written:
+        for dst in set(range(len(out))) - written:
             out[dst].fill(0)
         return out
 
@@ -108,9 +120,15 @@ class FormTables:
         table order, may leave out the slots on which the section vanishes; a slot of
         ``section`` may be a float constant."""
         entries = self.clifford[parity] if entries is None else entries
-        return self._accumulate(entries, form, parity, lambda comp, slot, t, neg:
-                                np.multiply(section[slot], -comp if neg else comp, out=t),
-                                out, term)
+        return self._accumulate(entries, form, parity, _clifford_fill(section), out, term)
+
+    def clifford_component(self, section: np.ndarray, form: np.ndarray, parity: int,
+                           dst: int, out: np.ndarray, term: np.ndarray | None = None
+                           ) -> np.ndarray:
+        """Component dst of (X + xi) . form, written into ``out`` (one component):
+        bitwise ``clifford_apply(section, form, parity)[dst]``."""
+        return self._accumulate(self.clifford_by_dst[parity][dst], form, parity,
+                                _clifford_fill(section), (out,), term)[0]
 
     def d_apply(self, form: np.ndarray, parity: int,
                 derivative: Callable[[np.ndarray, int, np.ndarray, bool], object],
@@ -118,8 +136,21 @@ class FormTables:
                 sign: int = 1) -> np.ndarray:
         """d(sign * form), sign = +-1, in one pass over ext, written into ``out`` if
         given: derivative(form[src], i, buf, negate) writes d(form[src])/dx_i, negated
-        if ``negate``, into ``buf``.  The sign only swaps additions and subtractions."""
+        if ``negate``, into ``buf``.  The sign only swaps additions and subtractions.
+        ext is src-major, so form[src] is read for src = 0, 1, ... in turn (a source
+        with no entry, such as the top-degree one, is never read): ``form`` may build
+        each component when it is first read."""
         return self._accumulate(self.ext[parity], form, parity, derivative, out, term, sign)
+
+
+def _clifford_fill(section) -> Callable[[np.ndarray, int, np.ndarray, bool], None]:
+    """The Clifford term section[slot] * comp, negated in place after the product (the
+    same bits as the product with -comp, without a negated copy of comp)."""
+    def fill(comp: np.ndarray, slot: int, t: np.ndarray, negate: bool) -> None:
+        np.multiply(section[slot], comp, out=t)
+        if negate:
+            np.negative(t, out=t)
+    return fill
 
 
 class QTables:

@@ -14,7 +14,7 @@ from gengeo.algebra import Chart, random_polynomial
 from gengeo.cli import main
 from gengeo.forms import random_mixed_form
 from gengeo.generalized import random_section
-from gengeo.spin55 import normal_form
+from gengeo.spin55 import DEFAULT_PROBE_POINTS, normal_form, quartic_invariant
 
 
 def run_cli(args):
@@ -94,6 +94,28 @@ def test_spin55_analyze_file_and_unstable(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(rho_bad))
     assert run_cli(["spin55", "analyze", str(bad)]) == 1
+
+
+def test_spin55_analyze_reports_the_orbit_sign_points(tmp_path):
+    # the golden mixed-sign pair is stable at the one given point, but the orbit
+    # sign is probed at the default points, where f changes sign: the report names both
+    golden = Path(__file__).parent / "data" / "golden"
+    rho, points = golden / "rho_mixed_sign.json", golden / "points_origin.json"
+    out = tmp_path / "r.json"
+    assert run_cli(["spin55", "analyze", str(rho), "--points", str(points),
+                    "--out", str(out)]) == 1
+    report = read(out)
+    assert report["checks"][-1]["residual"] == (
+        "f changes sign across probe points; no single orbit")
+    env = report["environment"]
+    assert env["points"] == [["0"] * 5]
+    assert env["sign_points"] == [list(map(str, p)) for p in DEFAULT_PROBE_POINTS]
+    f = quartic_invariant(gio.parse_rho_pair(gio.load_json(str(rho))))
+    assert {f.evaluate(p) > 0 for p in DEFAULT_PROBE_POINTS} == {True, False}
+    # without --points the sign points are the sample points
+    assert run_cli(["spin55", "analyze", "--normal-form", "--out", str(out)]) == 0
+    env = read(out)["environment"]
+    assert env["sign_points"] == env["points"]
 
 
 def test_flow_and_sixdim_cli(tmp_path):

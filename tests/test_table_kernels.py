@@ -124,7 +124,13 @@ def test_clifford_apply_equals_the_loop(n, parity):
     rng = np.random.default_rng(10 * n + parity)
     section, form = field(rng, 10, n), field(rng, 16, n)
     want = reference_clifford(section, form, parity)
-    assert_bitwise_but_zero_signs(form_tables(DIM).clifford_apply(section, form, parity), want)
+    got = form_tables(DIM).clifford_apply(section, form, parity)
+    assert_bitwise_but_zero_signs(got, want)
+    # one output component at a time: the same bits as the full action, zero signs included
+    for dst, comp in enumerate(got):
+        one = np.full_like(comp, np.nan)
+        form_tables(DIM).clifford_component(section, form, parity, dst, one)
+        assert np.array_equal(one, comp) and np.array_equal(np.signbit(one), np.signbit(comp))
 
 
 @pytest.mark.parametrize("n", [4, 5])
