@@ -14,11 +14,14 @@ is symmetric: the flow transports the total volume V monotonically
 recorded; convergence of V at fixed final time measures the stepper's
 fourth order.
 
-Each ``run_flow`` owns one ``Workspace``: the RK4 stages, their Q/f fields
-and slopes, and the per-step diagnostics write into its buffers, so a step
-allocates only the new state's arrays, k1 written straight into them.  No
-step writes into its input, so the trajectory ring holds the live states, not
-copies.  The Q/f recorded for a state feeds the next step's first stage.
+``Workspace`` is the grid layer's one buffer class.  Each ``run_flow`` owns
+one: the RK4 stages, their Q/f fields and slopes, and the per-step diagnostics
+write into its buffers, so a step allocates only the new state's arrays, k1
+written straight into them.  No step writes into its input, so the trajectory
+ring holds the live states, not copies.  The Q/f recorded for a state feeds the
+next step's first stage.  ``rho_hat_grid``, ``stability_field`` and a call made
+without a workspace build their own, from ``np.empty``: the buffers such a call
+never writes (the RK4 stage and slopes, for one) are never touched.
 
 Each half of a slope, d rho_hat_i, is one stream over the 16 hat components:
 component src is built from its Clifford entries into one scratch component
@@ -104,6 +107,8 @@ class FlowConfig:
             raise ValueError(f"flow config must be a JSON object, got {type(obj).__name__}")
         kwargs = dict(obj)
         if "N" in kwargs:
+            if "n" in kwargs:
+                raise ValueError("N and n both set the grid size: give one of them")
             kwargs["n"] = kwargs.pop("N")
         known = {f for f in FlowConfig.__dataclass_fields__}
         unknown = set(kwargs) - known
@@ -158,9 +163,9 @@ def lattice_cell_volume(n: int) -> float:
 class SpinMemo:
     """The z-independent spin fields of one state at one stability floor.
 
-    Filled by ``sixdim`` and reused for every spectral parameter z: the hat
-    pair, the signed triple (v1, h, v2) and, once asked for, the Gram
-    signature of span{d/dt - 2dt, v1, h, v2} and, per derivative method,
+    Built by ``rho_hat_grid``, memoized by ``sixdim`` and reused for every
+    spectral parameter z: the hat pair, the signed triple (v1, h, v2) and, once
+    asked for, the Gram signature of span{d/dt - 2dt, v1, h, v2} and, per method,
     the multiplier lambda of the 5-d bracket [v1, v2].  On the first state
     of a checked sequence it also keeps the z checks' buffers
     (``sixdim.ZWorkspace``), rewritten for every z.
@@ -362,37 +367,23 @@ class PointwiseSpin:
         return self.q1 * scale, q_tables().p_apply(rho1, rho2) * scale, self.q2 * scale
 
 
-@dataclass
-class HatResult(PointwiseSpin):
-    hat1: np.ndarray
-    hat2: np.ndarray
-
-
-class SpinBuffers:
-    """Outputs and scratch of the Q/f kernels on one grid: Q1, Q2, f, phi and two
-    scalar term fields, one per half."""
+class Workspace:
+    """The buffers of the pointwise spin and flow kernels on one grid (the node shape
+    of the fields): Q1, Q2, f, phi and two scalar term fields, one per half; per half,
+    v = Q/phi (2, 10, grid) and one scalar hat component; the RK4 stage input and
+    slopes, each a (rho1, rho2) pair of shape (2, 16, grid).  Calls that share one
+    Workspace must not run concurrently."""
 
     def __init__(self, grid: tuple[int, ...]):
         self.q1, self.q2 = (np.empty((2 * DIM,) + grid) for _ in range(2))
         self.f, self.phi = np.empty(grid), np.empty(grid)
         self.terms = np.empty((2,) + grid)
-
-
-class Workspace(SpinBuffers):
-    """One run's buffers at grid size n: the Q/f buffers and, per half, v = Q/phi
-    (2, 10, grid) and one scalar hat component, plus the RK4 stage input and slopes,
-    each a (rho1, rho2) pair of shape (2, 16, grid).  Calls that share one Workspace
-    must not run concurrently."""
-
-    def __init__(self, n: int):
-        grid = (n,) * DIM
-        super().__init__(grid)
         self.v = np.empty((2, 2 * DIM) + grid)
         self.hat = np.empty((2,) + grid)
         self.stage, self.k = np.empty((2, 2, N_COEFF) + grid)
 
 
-def _q_f(rho1: np.ndarray, rho2: np.ndarray, ws: SpinBuffers) -> np.ndarray:
+def _q_f(rho1: np.ndarray, rho2: np.ndarray, ws: Workspace) -> np.ndarray:
     """Q(rho1), Q(rho2) into ws.q1, ws.q2 and f = (Q1, Q2) into ws.f; returns ws.f."""
     qt = q_tables()
     _halves(lambda i: qt.q_apply((rho1, rho2)[i], (ws.q1, ws.q2)[i], ws.terms[i]))
@@ -400,7 +391,7 @@ def _q_f(rho1: np.ndarray, rho2: np.ndarray, ws: SpinBuffers) -> np.ndarray:
 
 
 def stability_field(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
-    return _q_f(rho1, rho2, SpinBuffers(rho1.shape[1:]))
+    return _q_f(rho1, rho2, Workspace(rho1.shape[1:]))
 
 
 def _node(flat_index: int, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -408,7 +399,10 @@ def _node(flat_index: int, shape: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _check_stability(f: np.ndarray, floor: float, t: float) -> int:
-    fmin = float(np.min(np.abs(f)))
+    fmin = float(np.min(np.abs(f)))         # NaN if any f is NaN
+    if not math.isfinite(fmin):
+        node = _node(int(np.argmax(~np.isfinite(f))), f.shape)
+        raise StabilityError(f"f is not finite at t={t:.6g}, node {node}")
     if fmin <= floor:
         node = _node(int(np.argmin(np.abs(f))), f.shape)
         raise StabilityError(f"stability lost at t={t:.6g}: |f|={fmin:.3e} at node {node}")
@@ -420,11 +414,11 @@ def _check_stability(f: np.ndarray, floor: float, t: float) -> int:
 
 
 def _pointwise_spin(rho1: np.ndarray, rho2: np.ndarray, floor: float, t: float,
-                    ws: SpinBuffers | None = None) -> PointwiseSpin:
+                    ws: Workspace | None = None) -> PointwiseSpin:
     """The one Q/f evaluation behind rho_hat, the triple, V and the recorded
-    diagnostics, written into ws (fresh buffers if None); raises StabilityError
-    where |f| <= floor or the orbit sign flips."""
-    ws = SpinBuffers(rho1.shape[1:]) if ws is None else ws
+    diagnostics, written into ws (a fresh Workspace if None); raises StabilityError
+    where f is not finite, |f| <= floor or the orbit sign flips."""
+    ws = Workspace(rho1.shape[1:]) if ws is None else ws
     f = _q_f(rho1, rho2, ws)
     sign = _check_stability(f, floor, t)
     phi = np.sqrt(np.abs(f, out=ws.phi), out=ws.phi)
@@ -443,16 +437,17 @@ def _v(spin: PointwiseSpin, i: int, rho: Sequence[np.ndarray], v: np.ndarray
 
 
 def rho_hat_grid(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
-                 t: float = 0.0) -> HatResult:
-    """Nodewise rho_hat = s (v1.rho2, -v2.rho1) with v_i = Q_i / phi."""
-    ws = SpinBuffers(rho1.shape[1:])
+                 t: float = 0.0) -> SpinMemo:
+    """The state's spin fields at this floor from one Q/f evaluation: nodewise
+    rho_hat = s (v1.rho2, -v2.rho1) with v_i = Q_i / phi, and the signed triple."""
+    ws = Workspace(rho1.shape[1:])
     s = _pointwise_spin(rho1, rho2, floor, t, ws)
-    v, hats = np.empty_like(s.q1), []
+    hats = []
     for i in range(2):
-        other, sign = _v(s, i, (rho1, rho2), v)
-        hats.append(form_tables(DIM).clifford_apply(v, other, 0, None, ws.terms[0]))
+        other, sign = _v(s, i, (rho1, rho2), ws.v[0])
+        hats.append(form_tables(DIM).clifford_apply(ws.v[0], other, 0, None, ws.terms[0]))
         hats[i] *= sign
-    return HatResult(**vars(s), hat1=hats[0], hat2=hats[1])
+    return SpinMemo(floor, *hats, s.triple(rho1, rho2))
 
 
 class _OnDemand:
@@ -477,7 +472,8 @@ def _slope(spin: PointwiseSpin, i: int, rho: Sequence[np.ndarray], ws: Workspace
     v = ws.v[i]
     other, sign = _v(spin, i, rho, v)
     ft, term = form_tables(DIM), ws.terms[i]
-    hat = _OnDemand(lambda src, buf: ft.clifford_component(v, other, 0, src, buf, term),
+    by_dst = ft.clifford_by_dst[0]
+    hat = _OnDemand(lambda src, buf: ft.clifford_apply(v, other, 0, (buf,), term, by_dst[src]),
                     ws.hat[i])
     grid_d(hat, 1, n, method, out, term, sign)
 
@@ -486,14 +482,10 @@ def signed_triple(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6, t: fl
                   spin: PointwiseSpin | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """(v1, h, v2, phi, s): s-signed normalized triple fields, shape (10, grid), from
-    ``spin``, the state's Q/f at this floor, if given (its phi is copied, as it may
-    be a workspace buffer)."""
-    if spin is None:
-        spin = _pointwise_spin(rho1, rho2, floor, t)
-        phi = spin.phi
-    else:
-        phi = spin.phi.copy()
-    return spin.triple(rho1, rho2) + (phi, spin.sign)
+    ``spin``, the state's Q/f at this floor, if given; phi is a copy, as spin.phi may
+    be a workspace buffer."""
+    spin = _pointwise_spin(rho1, rho2, floor, t) if spin is None else spin
+    return spin.triple(rho1, rho2) + (spin.phi.copy(), spin.sign)
 
 
 # -- time stepping -----------------------------------------------------------------
@@ -509,7 +501,7 @@ def flow_step(state: GridState, method: str = "spectral", floor: float = 1e-6,
     n, dt, t = state.n, state.dt, state.t
     if dt == 0.0:
         return state.copy()
-    ws = Workspace(n) if ws is None else ws
+    ws = Workspace(state.rho1.shape[1:]) if ws is None else ws
     r, stage, k = (state.rho1, state.rho2), ws.stage, ws.k
 
     def slopes(rho: Sequence[np.ndarray], tc: float, out: np.ndarray,
@@ -564,13 +556,11 @@ def mean_modes(state: GridState) -> np.ndarray:
 def closedness_norms(state: GridState, method: str = "spectral",
                      ws: Workspace | None = None) -> tuple[float, float]:
     """L2 norms of d rho1 and d rho2, one per half, each d built and squared in
-    ws.k[i] with ws.terms[i] as scratch (fresh buffers if None)."""
-    grid = state.rho1.shape[1:]
-    d, terms = ((np.empty((2, N_COEFF) + grid), np.empty((2,) + grid)) if ws is None
-                else (ws.k, ws.terms))
+    ws.k[i] with ws.terms[i] as scratch (a fresh Workspace if None)."""
+    ws = Workspace(state.rho1.shape[1:]) if ws is None else ws
     return tuple(_halves(lambda i: grid_norm(
-        grid_d((state.rho1, state.rho2)[i], 0, state.n, method, d[i], terms[i]),
-        state.cell_volume, out=d[i])))
+        grid_d((state.rho1, state.rho2)[i], 0, state.n, method, ws.k[i], ws.terms[i]),
+        state.cell_volume, out=ws.k[i])))
 
 
 def grid_norm(fields: np.ndarray, cell_volume: float, out: np.ndarray | None = None) -> float:
@@ -694,7 +684,7 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
     state = initial_state(config)
     traj = Trajectory(config=config, ring=deque(maxlen=config.ring))
     mean0 = mean_modes(state)
-    ws = Workspace(config.n)
+    ws = Workspace((config.n,) * DIM)
 
     nahm = "nahm" in config.diagnostics
     triples: list = []                      # signed triples of the window's states

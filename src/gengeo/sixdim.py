@@ -13,14 +13,16 @@ u_red(0) = -2h with sigma(0) = sigma_1, u_red(inf) = +2h with sigma_2.
 ``check_trajectory`` writes sigma(z), v(z), w(z), the checks' outputs and the
 bracket's gradients in place into one ``ZWorkspace``, kept on the first state's
 spin memo and reused for every z; called without one, ``build_sigma`` and the
-checks allocate their own.  v(z) vanishes on the d/dt and dt slots and w(z)
-holds the constants 1 and -2 there, so the checks skip or scale those terms.
+checks build a fresh ``ZWorkspace`` and run the same path.  v(z) vanishes on the
+d/dt and dt slots and w(z) holds the constants 1 and -2 there, so the checks skip
+or scale those terms.
 Every output component keeps its term order: only the sign of an exact zero
 can differ from the allocating formulas, and every report is unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,13 +48,22 @@ DEFAULT_Z_SWEEP: tuple[ZValue, ...] = (
 
 
 def parse_z_list(text: str) -> list[ZValue]:
-    out: list[ZValue] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        out.append("inf" if token in ("inf", "oo") else Fraction(token))
-    return out
+    """The comma-separated z values: "inf" (or "oo"), or rationals with finite floats
+    z and, for z != 0, 1/z, as sigma(z) uses them; ValueError otherwise."""
+    return [_z_value(token.strip()) for token in text.split(",") if token.strip()]
+
+
+def _z_value(token: str) -> ZValue:
+    if token in ("inf", "oo"):
+        return "inf"
+    try:
+        z = Fraction(token)
+        finite = not z or math.isfinite(1.0 / float(z))
+    except (ZeroDivisionError, OverflowError):     # 1/0, a float overflow or underflow
+        finite = False
+    if not finite:
+        raise ValueError(f"z = {token} has no finite float z or 1/z")
+    return z
 
 
 @lru_cache(maxsize=None)
@@ -99,33 +110,21 @@ def _max_abs(x: np.ndarray) -> float:
     return float(max(x.max(), -x.min()))
 
 
-def _slice_buffers(grid: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sigma, v, w) buffers of one slice; v's d/dt and dt slots hold 0 and w's hold
-    d/dt - 2dt, the parts of v(z) and w(z) that do not depend on the state or z."""
-    sigma = np.empty((form_tables(DIM6).n_even,) + grid)
-    v = np.zeros((2 * DIM6,) + grid)
-    return sigma, v, _add_dt_section(np.zeros_like(v))
-
-
 class ZWorkspace:
     """The z checks' buffers on one grid, rewritten for every z: ``count`` slices'
-    sigma, v and w (``_slice_buffers``), one shared 32-component output for the
-    Clifford actions, inner products, bracket and d sigma, a two-field scratch,
-    and the bracket's gradients, allocated on first use."""
+    (sigma, v, w), v's d/dt and dt slots 0 and w's d/dt - 2dt (the parts of v(z) and
+    w(z) that depend on neither the state nor z); one shared 32-component output for
+    the Clifford actions, inner products, bracket and d sigma; a two-field scratch;
+    and the bracket's spacetime gradients of two sections (6, 12, grid) and of their
+    pairing (6, grid).  All but v and w come from ``np.empty``, untouched until written."""
 
     def __init__(self, grid: tuple[int, ...], count: int = 0):
-        self.grid = grid
-        self.slices = [_slice_buffers(grid) for _ in range(count)]
-        self.out = np.empty((form_tables(DIM6).n_odd,) + grid)
+        sec, ft6 = (2 * DIM6,) + grid, form_tables(DIM6)
+        self.slices = [(np.empty((ft6.n_even,) + grid), np.zeros(sec),
+                        _add_dt_section(np.zeros(sec))) for _ in range(count)]
+        self.out = np.empty((ft6.n_odd,) + grid)
         self.term = np.empty((2,) + grid)
-        self._gradients: tuple[np.ndarray, ...] | None = None
-
-    def gradients(self) -> tuple[np.ndarray, ...]:
-        """Spacetime gradients of two sections (6, 12, grid) and of their pairing (6, grid)."""
-        if self._gradients is None:
-            sec = (DIM6, 2 * DIM6) + self.grid
-            self._gradients = np.empty(sec), np.empty(sec), np.empty((DIM6,) + self.grid)
-        return self._gradients
+        self.gradients = np.empty((DIM6,) + sec), np.empty((DIM6,) + sec), np.empty((DIM6,) + grid)
 
 
 def _write_slice(state: GridState, memo: SpinMemo, z: ZValue, buffers: tuple[np.ndarray, ...],
@@ -165,11 +164,8 @@ def _write_slice(state: GridState, memo: SpinMemo, z: ZValue, buffers: tuple[np.
 
 @dataclass
 class SigmaSlice:
-    """sigma(z), v(z), w(z) and the underlying spatial data on one time slice.
-
-    Slices built into a ``ZWorkspace`` share its buffers and are overwritten by
-    the next z; those built without one own theirs.
-    """
+    """sigma(z), v(z), w(z) and the underlying spatial data on one time slice, in
+    the buffers of the ``ZWorkspace`` it was built in (overwritten by its next z)."""
 
     z: ZValue
     t: float
@@ -183,16 +179,6 @@ class SigmaSlice:
     def triple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.spin.triple
 
-    @property
-    def rho_z(self) -> np.ndarray:
-        """(16, grid) spatial even part of sigma, read back as a copy."""
-        return self.sigma[_index_maps()["even5_even6"]]
-
-    @property
-    def hat_z(self) -> np.ndarray:
-        """(16, grid) spatial odd form with sigma = dt ^ hat_z + rho_z, as a copy."""
-        return self.sigma[_index_maps()["odd5_dt_even6"]]
-
 
 def _spin_memo(state: GridState, floor: float) -> SpinMemo:
     """The state's z-independent hat pair and signed triple, evaluated once per floor.
@@ -202,10 +188,8 @@ def _spin_memo(state: GridState, floor: float) -> SpinMemo:
     """
     memo = state.spin
     if memo is None or memo.floor != floor:
-        hat = rho_hat_grid(state.rho1, state.rho2, floor, state.t)
-        v1, h, v2 = hat.triple(state.rho1, state.rho2)    # no second Q/f evaluation
-        memo = SpinMemo(floor, hat.hat1, hat.hat2, (v1, h, v2))
-        for arr in (state.rho1, state.rho2, memo.hat1, memo.hat2, v1, h, v2):
+        memo = rho_hat_grid(state.rho1, state.rho2, floor, state.t)
+        for arr in (state.rho1, state.rho2, memo.hat1, memo.hat2, *memo.triple):
             arr.flags.writeable = False
         state.spin = memo
     return memo
@@ -235,18 +219,15 @@ def build_sigma(source: Trajectory | Sequence[GridState], z: ZValue,
     z and floor-matching call.  From then on the state's rho1/rho2 (and the
     memo arrays a slice's ``triple`` refers to) are read-only; copy a state
     to modify it.  The slices are written into ``ws`` (one slice buffer per
-    state) if given, else into fresh buffers.
+    state), a fresh ``ZWorkspace`` if None.
     """
     states = _states(source)
-    grid = states[0].rho1.shape[1:]
-    term = np.empty(grid) if ws is None else ws.term[0]
+    ws = ZWorkspace(states[0].rho1.shape[1:], len(states)) if ws is None else ws
     slices = []
     for k, state in enumerate(states):
         memo = _spin_memo(state, floor)
-        buffers = _slice_buffers(grid) if ws is None else ws.slices[k]
-        _write_slice(state, memo, z, buffers, term)
-        slices.append(SigmaSlice(z=z, t=state.t, n=state.n, sigma=buffers[0],
-                                 v_z=buffers[1], w_z=buffers[2], spin=memo))
+        _write_slice(state, memo, z, ws.slices[k], ws.term[0])
+        slices.append(SigmaSlice(z, state.t, state.n, *ws.slices[k], memo))
     return slices
 
 
@@ -358,19 +339,12 @@ def _central_slices(slices: Sequence[SigmaSlice]
     return prev, mid, nxt, dt
 
 
-def _time_derivative(arrays: Sequence[np.ndarray], dt: float,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    out = np.subtract(arrays[2], arrays[0], out=out)
-    out /= 2 * dt
-    return out
-
-
 def _spacetime_gradient(slices: Sequence[np.ndarray], n: int, dt: float, method: str,
-                        out: np.ndarray | None = None) -> np.ndarray:
-    """(d/dt, d/dx_1..d/dx_5) of the middle slice, d/dt by central differences,
-    written into ``out`` if given."""
-    out = np.empty((DIM6,) + slices[1].shape) if out is None else out
-    _time_derivative(slices, dt, out[0])
+                        out: np.ndarray) -> np.ndarray:
+    """(d/dt, d/dx_1..d/dx_5) of the middle slice into ``out``, d/dt by central
+    differences."""
+    np.subtract(slices[2], slices[0], out=out[0])
+    out[0] /= 2 * dt
     gradient(slices[1], n, method, out=out[1:])
     return out
 
@@ -378,18 +352,18 @@ def _spacetime_gradient(slices: Sequence[np.ndarray], n: int, dt: float, method:
 def courant_bracket_6d(u_slices: Sequence[np.ndarray], v_slices: Sequence[np.ndarray],
                        n: int, dt: float, method: str = "spectral",
                        ws: ZWorkspace | None = None) -> np.ndarray:
-    """[u, v] on the 6-chart at the middle slice, through ``ws``'s gradients into
-    ``ws.out[:12]`` if given.
+    """[u, v] on the 6-chart at the middle slice, through ``ws``'s gradients (a fresh
+    ``ZWorkspace`` if None) into ``ws.out[:12]``.
 
     Sections are (12, grid) per slice; the time axis enters through central
     differences of the slice sequence, the spatial axes spectrally.
     """
+    ws = ZWorkspace(u_slices[1].shape[1:]) if ws is None else ws
     pairings = [section_pairing(us, vs, DIM6) for us, vs in zip(u_slices, v_slices)]
-    grads = (None,) * 3 if ws is None else ws.gradients()
     return bracket_from_derivatives(u_slices[1], v_slices[1], *(
         _spacetime_gradient(slices, n, dt, method, out)
-        for slices, out in zip((u_slices, v_slices, pairings), grads)),
-        out=None if ws is None else ws.out[:2 * DIM6])
+        for slices, out in zip((u_slices, v_slices, pairings), ws.gradients)),
+        out=ws.out[:2 * DIM6])
 
 
 @dataclass
@@ -501,10 +475,6 @@ class SixdimReport:
     ez: dict[str, EzReport]
     dsigma: dict[str, float]
     signature: tuple[int, int, int]
-
-    def max_annihilator(self) -> float:
-        vals = list(self.annihilator_v.values()) + list(self.annihilator_w.values())
-        return max(vals, default=0.0)
 
 
 def check_trajectory(source: Trajectory | Sequence[GridState],

@@ -76,7 +76,9 @@ class FormTables:
     @cached_property
     def clifford_by_dst(self) -> dict[int, list[list[Entry]]]:
         """clifford[parity] split by output component, each in table order, with dst
-        set to 0 so that it sums into a one-component out (``clifford_component``)."""
+        set to 0: ``clifford_apply(section, form, parity, (buf,), term, entries)`` with
+        ``entries = clifford_by_dst[parity][dst]`` writes component dst into ``buf``,
+        bitwise the full action's."""
         by_dst = {0: [[] for _ in range(self.n_odd)], 1: [[] for _ in range(self.n_even)]}
         for parity, entries in self.clifford.items():
             for slot, src, dst, s in entries:
@@ -116,19 +118,11 @@ class FormTables:
                        entries: list[Entry] | None = None) -> np.ndarray:
         """(X + xi) . form for numeric fields; returns the opposite parity, written
         into ``out`` if given, with ``term`` (one component) as scratch.  ``entries``, a
-        subset of ``clifford[parity]`` that keeps each output component's terms in
-        table order, may leave out the slots on which the section vanishes; a slot of
-        ``section`` may be a float constant."""
+        subset of ``clifford[parity]`` (or one ``clifford_by_dst`` list) that keeps each
+        output component's terms in table order, may leave out the slots on which the
+        section vanishes; a slot of ``section`` may be a float constant."""
         entries = self.clifford[parity] if entries is None else entries
         return self._accumulate(entries, form, parity, _clifford_fill(section), out, term)
-
-    def clifford_component(self, section: np.ndarray, form: np.ndarray, parity: int,
-                           dst: int, out: np.ndarray, term: np.ndarray | None = None
-                           ) -> np.ndarray:
-        """Component dst of (X + xi) . form, written into ``out`` (one component):
-        bitwise ``clifford_apply(section, form, parity)[dst]``."""
-        return self._accumulate(self.clifford_by_dst[parity][dst], form, parity,
-                                _clifford_fill(section), (out,), term)[0]
 
     def d_apply(self, form: np.ndarray, parity: int,
                 derivative: Callable[[np.ndarray, int, np.ndarray, bool], object],

@@ -275,6 +275,7 @@ MODE = {"component": "rho1", "indices": [3], "k": [1, 0, 0, 0, 0], "cos": 1.0, "
     ({"steps": -3}, "steps"),                        # ran zero steps and passed
     ({"steps": 1.5}, "steps"),                       # TypeError traceback
     ({"N": 4.5}, "N"),                               # TypeError traceback
+    ({"n": 6}, "N and n"),                           # ran N = 4 and ignored n
     ({"stability_floor": -1}, "stability_floor"),    # switched the floor check off
     ({"dt": float("nan")}, "dt"),                    # failed as a stability check
     ({"epsilon": float("inf")}, "epsilon"),          # failed as a stability check
@@ -290,8 +291,8 @@ MODE = {"component": "rho1", "indices": [3], "k": [1, 0, 0, 0, 0], "cos": 1.0, "
     ({"perturbation": [{**MODE, "cos": float("nan")}]}, "perturbation"),
     ({"perturbation": [{**MODE, "sin": "1"}]}, "perturbation"),
     ({"perturbation": [{**MODE, "phase": 1}]}, "perturbation"),
-], ids=["negative-steps", "fractional-steps", "fractional-N", "negative-floor", "nan-dt",
-        "infinite-epsilon", "unknown-diagnostic", "diagnostics-not-a-list",
+], ids=["negative-steps", "fractional-steps", "fractional-N", "both-N-and-n", "negative-floor",
+        "nan-dt", "infinite-epsilon", "unknown-diagnostic", "diagnostics-not-a-list",
         "perturbation-entry-not-object", "perturbation-not-list", "perturbation-short-k",
         "perturbation-fractional-k", "perturbation-unknown-component",
         "perturbation-even-indices", "perturbation-indices-not-list", "perturbation-nan-cos",
@@ -338,6 +339,32 @@ def test_sixdim_check_zero_dt_trajectory_names_dt(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "time derivatives need slices with dt > 0, got dt = 0" in err
     assert "uniformly spaced" not in err
+
+
+@pytest.mark.parametrize("z", ["1/0", "1e400", "1e-400", "1e-310"])
+def test_sixdim_check_z_without_finite_floats_exit_2(tmp_path, capsys, z):
+    # 1/0 escaped parse_z_list as ZeroDivisionError and 1e400 the slice builder's
+    # float(z) as OverflowError, each a traceback; 1e-400 divided by float(z) = 0, and
+    # 1/float(1e-310) = inf failed the checks (exit 1)
+    traj = _flow_trajectory(tmp_path)
+    out = tmp_path / "six.json"
+    assert run_cli(["sixdim", "check", "--trajectory", str(traj), "--z", f"1,{z}",
+                    "--out", str(out)]) == 2
+    assert f"z = {z} has no finite float z or 1/z" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_flow_with_a_non_finite_f_is_a_failed_stability_check(tmp_path):
+    # dt = 1e308 overflows the state and f becomes NaN; "nan <= floor" is False, so
+    # the failure was reported as an orbit sign flip
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 4, "steps": 1, "dt": 1e308}))
+    out = tmp_path / "r.json"
+    assert run_cli(["flow", "run", "--config", str(cfg), "--out", str(out)]) == 1
+    check, = (c for c in read(out)["checks"] if c["id"] == "stability")
+    assert not check["passed"] and check["residual"].startswith("f is not finite at t=")
 
 
 def test_spin55_analyze_late_stability_error_is_failed_check(tmp_path, monkeypatch):

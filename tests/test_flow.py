@@ -253,6 +253,15 @@ def test_stability_abort_reports_node():
         rho_hat_grid(s.rho1, s.rho2)
 
 
+def test_stability_check_names_the_first_non_finite_node():
+    # a NaN f skipped the floor test ("nan <= floor" is False) and read as a sign flip
+    f = np.full((N,) * 5, -1.0)
+    f[1, 0, 0, 0, 0] = np.inf
+    f[0, 1, 2, 3, 0] = np.nan
+    with pytest.raises(StabilityError, match=r"f is not finite at t=0.5, node \(0, 1, 2, 3, 0\)"):
+        flow._check_stability(f, 1e-6, 0.5)
+
+
 def test_signed_triple_gram_fields():
     from gengeo.tables import section_inner
 
@@ -371,7 +380,7 @@ def test_run_flow_evaluates_each_states_q_once(monkeypatch):
 
 def test_flow_step_with_the_states_spin_equals_flow_step_alone():
     s = initial_state(small_cfg(epsilon=0.05))
-    ws = flow.Workspace(N)
+    ws = flow.Workspace((N,) * 5)
     spin = flow._pointwise_spin(s.rho1, s.rho2, 1e-6, s.t, ws)
     got, want = flow_step(s, ws=ws, spin=spin), flow_step(s)
     for a, b in ((got.rho1, want.rho1), (got.rho2, want.rho2)):
@@ -410,7 +419,7 @@ def test_nahm_diagnostic_adds_no_q_evaluation(monkeypatch):
 
 def test_signed_triple_from_a_workspace_spin_owns_its_phi():
     s = initial_state(small_cfg(epsilon=0.05))
-    ws = flow.Workspace(N)
+    ws = flow.Workspace((N,) * 5)
     spin = flow._pointwise_spin(s.rho1, s.rho2, 1e-6, s.t, ws)
     got, want = signed_triple(s.rho1, s.rho2, spin=spin), signed_triple(s.rho1, s.rho2)
     assert got[4] == want[4] and all(np.array_equal(a, b) for a, b in zip(got[:4], want[:4]))

@@ -29,6 +29,7 @@ from gengeo.flow import (FlowConfig, GridState, Workspace, flow_step, grid_d, in
 from gengeo.tables import form_tables, q_tables, section_inner
 
 N = 4
+GRID = (N,) * 5
 FLOOR = 1e-6
 
 
@@ -74,7 +75,7 @@ def assert_bitwise(got, want):
 @pytest.mark.parametrize("method", ["spectral", "fd4"])
 @pytest.mark.parametrize("dt", [0.02, -0.03])
 def test_workspace_step_matches_allocating_formula_bitwise(method, dt):
-    ws = Workspace(N)
+    ws = Workspace(GRID)
     got = want = perturbed(dt, method)
     for _ in range(3):
         got, want = flow_step(got, method, FLOOR, ws), reference_step(want, method, FLOOR)
@@ -84,7 +85,7 @@ def test_workspace_step_matches_allocating_formula_bitwise(method, dt):
 
 
 def test_zero_dt_returns_an_unaliased_copy():
-    ws = Workspace(N)
+    ws = Workspace(GRID)
     s = perturbed(0.0, "spectral")
     s1 = flow_step(s, ws=ws)
     assert s1 is not s and s1.t == s.t
@@ -97,7 +98,7 @@ def test_flow_step_never_writes_its_input():
     s = perturbed(0.02, "spectral")
     before = s.copy()
     s.rho1.flags.writeable = s.rho2.flags.writeable = False    # a write would raise
-    flow_step(s, ws=Workspace(N))
+    flow_step(s, ws=Workspace(GRID))
     assert_bitwise(s, before)
 
 
@@ -108,7 +109,7 @@ def test_warm_step_allocates_only_its_result(method):
     # doubles, 65,536 B, is taken, nor one per thread); the bound leaves room for
     # that buffer and 4 scalar fields (8,192 B each).  One more per-stage
     # 16-component field would add 131,072 B.
-    ws = Workspace(N)
+    ws = Workspace(GRID)
     s = flow_step(perturbed(0.02, method), method, FLOOR, ws)
     tracemalloc.start()
     try:
@@ -132,8 +133,8 @@ def test_ring_states_share_no_memory(monkeypatch):
     made = []
 
     class Recorded(Workspace):
-        def __init__(self, n):
-            super().__init__(n)
+        def __init__(self, grid):
+            super().__init__(grid)
             made.append(self)
 
     monkeypatch.setattr(flow, "Workspace", Recorded)
@@ -141,7 +142,8 @@ def test_ring_states_share_no_memory(monkeypatch):
     assert len(made) == 1
     arrays = [a for s in traj.states() for a in (s.rho1, s.rho2)]
     buffers = list(_buffers(made[0]))
-    # q1, q2, f, phi, terms, v (one per half), hat (one component per half), stage, k
+    # the one Workspace's q1, q2, f, phi, terms, v (one per half), hat (one component
+    # per half), stage and k
     assert len(arrays) == 8 and len(buffers) == 9
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:] + buffers)
@@ -171,7 +173,7 @@ def spy_slope_threads(monkeypatch):
 @pytest.mark.skipif(flow._cpus() < 2, reason="the halves run inline on one CPU")
 def test_the_halves_run_on_two_threads(monkeypatch):
     seen = spy_slope_threads(monkeypatch)
-    flow_step(perturbed(0.02, "spectral"), ws=Workspace(N))
+    flow_step(perturbed(0.02, "spectral"), ws=Workspace(GRID))
     assert len(seen) == 8
     idents = {i: {ident for half, ident in seen if half == i} for i in (0, 1)}
     assert idents[0] == {threading.get_ident()}
@@ -183,7 +185,7 @@ def test_one_cpu_runs_both_halves_inline_with_the_same_bits(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     start = perturbed(0.02, "fd4")
-    assert_bitwise(flow_step(start, "fd4", FLOOR, Workspace(N)),
+    assert_bitwise(flow_step(start, "fd4", FLOOR, Workspace(GRID)),
                    reference_step(start, "fd4", FLOOR))
     assert {ident for _, ident in seen} == {threading.get_ident()}
 
@@ -199,7 +201,7 @@ def test_repeated_threaded_runs_keep_every_bit(method, dt):
     sys.setswitchinterval(1e-5)             # switch threads far more often than usual
     try:
         for _ in range(20):
-            ws, got = Workspace(N), []
+            ws, got = Workspace(GRID), []
             s = perturbed(dt, method)
             for _ in range(3):
                 s = flow_step(s, method, FLOOR, ws)
@@ -216,7 +218,7 @@ def test_concurrent_callers_share_the_helper_and_keep_every_bit():
     got = []
 
     def caller():
-        ws = Workspace(N)
+        ws = Workspace(GRID)
         got.append(digest(flow_step(flow_step(start, ws=ws), ws=ws)))
 
     callers = [threading.Thread(target=caller, daemon=True) for _ in range(4)]
@@ -241,7 +243,7 @@ def test_a_fault_in_either_half_is_raised_after_both_halves_stop(monkeypatch, ba
         finished.append(i)
 
     monkeypatch.setattr(flow, "_slope", faulty)
-    ws = Workspace(N)
+    ws = Workspace(GRID)
     start = perturbed(0.02, "spectral")
     with pytest.raises(FloatingPointError, match=f"half {bad}"):
         flow_step(start, ws=ws)

@@ -75,7 +75,8 @@ def test_spin_views_match_exact_rho_hat_and_triple(seed):
 
     v1, h, v2, phi, sign = signed_triple(r1, r2, floor=1e-12)
     triple = v_triple(rho)
-    assert sign == triple.orbit_sign == exact_hat.orbit_sign == hat.sign
+    assert sign == triple.orbit_sign == exact_hat.orbit_sign
+    assert all(np.array_equal(a, b) for a, b in zip(hat.triple, (v1, h, v2)))
     exact_phi = math.sqrt(float(triple.q.constant_value()))
     assert np.allclose(phi, exact_phi, rtol=1e-13)
     for grid, dens in zip((v1, h, v2), (triple.v1_dens, triple.h_dens, triple.v2_dens)):

@@ -129,7 +129,8 @@ def test_clifford_apply_equals_the_loop(n, parity):
     # one output component at a time: the same bits as the full action, zero signs included
     for dst, comp in enumerate(got):
         one = np.full_like(comp, np.nan)
-        form_tables(DIM).clifford_component(section, form, parity, dst, one)
+        form_tables(DIM).clifford_apply(section, form, parity, (one,), None,
+                                        form_tables(DIM).clifford_by_dst[parity][dst])
         assert np.array_equal(one, comp) and np.array_equal(np.signbit(one), np.signbit(comp))
 
 
