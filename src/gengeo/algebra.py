@@ -37,8 +37,8 @@ class Chart:
     dim: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.dim <= MAX_DIM:
-            raise ValueError(f"chart dimension must be in 1..{MAX_DIM}, got {self.dim}")
+        if type(self.dim) is not int or not 1 <= self.dim <= MAX_DIM:
+            raise ValueError(f"chart dimension must be an integer in 1..{MAX_DIM}: {self.dim!r}")
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -96,6 +96,13 @@ def _max_abs_coeff(values) -> float:
     return worst
 
 
+def _exact_check(report: Report, id: str, anchor: str, residuals) -> None:
+    """The exact rule: pass when every residual is zero, else report the largest
+    coefficient of the nonzero ones."""
+    bad = [r for r in residuals if not r.is_zero]
+    report.add(id, anchor, exact_zero=not bad, residual=_max_abs_coeff(bad))
+
+
 # -- verify identities -----------------------------------------------------------
 
 
@@ -105,24 +112,13 @@ def identities_suite(dim: int, cases: int, seed: int, max_degree: int = 2) -> Re
     report = Report("verify-identities",
                     {"dim": dim, "cases": cases, "seed": seed, "max_degree": max_degree})
 
-    def run(check_id: str, anchor: str, one_case) -> None:
-        bad = []
-        for _ in range(cases):
-            res = one_case()
-            if res:
-                bad.extend(res)
-        report.add(check_id, anchor, exact_zero=not bad, residual=_max_abs_coeff(bad))
-
+    # each case draws its objects and returns its residuals
     def courant_case():
         u, v = random_section(chart, rng, max_degree), random_section(chart, rng, max_degree)
         forms = [random_mixed_form(chart, rng, max_degree=max_degree) for _ in range(2)]
         forms += [MixedForm.basis(chart, idx)
                   for k in range(dim + 1) for idx in combinations(range(dim), k)]
-        return [r for r in courant_spinor_residual(u, v, forms) if not r.is_zero]
-
-    run("courant-definitional",
-        "2[u,v].a = d((uv-vu).a) + 2u.d(v.a) - 2v.d(u.a) + (uv-vu).da",
-        courant_case)
+        return courant_spinor_residual(u, v, forms)
 
     def identity3_case():
         u, v = random_section(chart, rng, max_degree), random_section(chart, rng, max_degree)
@@ -130,10 +126,7 @@ def identities_suite(dim: int, cases: int, seed: int, max_degree: int = 2) -> Re
         lhs = courant_bracket(u, v.scale(f))
         rhs = (courant_bracket(u, v).scale(f) + v.scale(pi_derivative(u, f))
                - GenSection.from_oneform(d_scalar(f)).scale(gv_inner(u, v)))
-        diff = lhs - rhs
-        return [] if diff.is_zero else [diff]
-
-    run("identity-3", "[u,fv] = f[u,v] + (pi(u)f)v - (u,v)df", identity3_case)
+        return [lhs - rhs]
 
     def identity4_case():
         u = random_section(chart, rng, max_degree)
@@ -142,20 +135,13 @@ def identities_suite(dim: int, cases: int, seed: int, max_degree: int = 2) -> Re
         lhs = pi_derivative(u, gv_inner(v, w))
         t1 = courant_bracket(u, v) + GenSection.from_oneform(d_scalar(gv_inner(u, v)))
         t2 = courant_bracket(u, w) + GenSection.from_oneform(d_scalar(gv_inner(u, w)))
-        diff = lhs - gv_inner(t1, w) - gv_inner(v, t2)
-        return [] if diff.is_zero else [diff]
-
-    run("identity-4", "pi(u)(v,w) = ([u,v]+d(u,v),w) + (v,[u,w]+d(u,w))", identity4_case)
+        return [lhs - gv_inner(t1, w) - gv_inner(v, t2)]
 
     def closed_b_case():
         u, v = random_section(chart, rng, max_degree), random_section(chart, rng, max_degree)
         b = exterior_derivative(random_mixed_form(chart, rng, degrees=(1,), max_degree=max_degree))
-        diff = (courant_bracket(bfield_on_section(b, u), bfield_on_section(b, v))
-                - bfield_on_section(b, courant_bracket(u, v)))
-        return [] if diff.is_zero else [diff]
-
-    run("closed-b-invariance", "dB = 0  =>  [u + i_X B, v + i_Y B] = [u,v] + i_[X,Y] B",
-        closed_b_case)
+        return [courant_bracket(bfield_on_section(b, u), bfield_on_section(b, v))
+                - bfield_on_section(b, courant_bracket(u, v))]
 
     def defect_case():
         u, v = random_section(chart, rng, max_degree), random_section(chart, rng, max_degree)
@@ -164,44 +150,56 @@ def identities_suite(dim: int, cases: int, seed: int, max_degree: int = 2) -> Re
         diff = (courant_bracket(bfield_on_section(b, u), bfield_on_section(b, v))
                 - bfield_on_section(b, courant_bracket(u, v)))
         expected = -interior_product(u.vector, interior_product(v.vector, db))
-        bad = []
-        if not diff.vector.is_zero:
-            bad.append(diff.vector.components[0])
-        if diff.oneform != expected:
-            bad.append(diff.oneform - expected)
-        return bad
-
-    run("nonclosed-b-defect", "[u + i_X B, v + i_Y B] - (u,v)-image = -i_X i_Y dB", defect_case)
+        return [diff - GenSection.from_oneform(expected)]
 
     def clifford_case():
         u = random_section(chart, rng, max_degree)
         a = random_mixed_form(chart, rng, max_degree=max_degree)
-        diff = clifford_act(u, clifford_act(u, a)) - a.scale(gv_inner(u, u))
-        return [] if diff.is_zero else [diff]
-
-    run("clifford-square", "u.(u.a) = (u,u) a", clifford_case)
+        return [clifford_act(u, clifford_act(u, a)) - a.scale(gv_inner(u, u))]
 
     def mukai_case():
         a = random_mixed_form(chart, rng, max_degree=max_degree)
         bform = random_mixed_form(chart, rng, max_degree=max_degree)
         b2 = random_mixed_form(chart, rng, degrees=(2,), max_degree=max_degree)
-        diff = (mukai_pairing(bfield_on_form(b2, a), bfield_on_form(b2, bform))
-                - mukai_pairing(a, bform))
-        return [] if diff.is_zero else [diff]
-
-    run("mukai-bfield-invariance", "<e^B a, e^B b> = <a, b>", mukai_case)
+        return [mukai_pairing(bfield_on_form(b2, a), bfield_on_form(b2, bform))
+                - mukai_pairing(a, bform)]
 
     def dsquared_case():
         a = random_mixed_form(chart, rng, max_degree=max_degree)
-        dd = exterior_derivative(exterior_derivative(a))
-        return [] if dd.is_zero else [dd]
+        return [exterior_derivative(exterior_derivative(a))]
 
-    run("d-squared", "d(d(a)) = 0", dsquared_case)
-
+    # all cases of one check run before the next check draws
+    for check_id, anchor, case in (
+            ("courant-definitional",
+             "2[u,v].a = d((uv-vu).a) + 2u.d(v.a) - 2v.d(u.a) + (uv-vu).da", courant_case),
+            ("identity-3", "[u,fv] = f[u,v] + (pi(u)f)v - (u,v)df", identity3_case),
+            ("identity-4", "pi(u)(v,w) = ([u,v]+d(u,v),w) + (v,[u,w]+d(u,w))", identity4_case),
+            ("closed-b-invariance", "dB = 0  =>  [u + i_X B, v + i_Y B] = [u,v] + i_[X,Y] B",
+             closed_b_case),
+            ("nonclosed-b-defect", "[u + i_X B, v + i_Y B] - (u,v)-image = -i_X i_Y dB",
+             defect_case),
+            ("clifford-square", "u.(u.a) = (u,u) a", clifford_case),
+            ("mukai-bfield-invariance", "<e^B a, e^B b> = <a, b>", mukai_case),
+            ("d-squared", "d(d(a)) = 0", dsquared_case)):
+        _exact_check(report, check_id, anchor, [r for _ in range(cases) for r in case()])
     return report
 
 
 # -- verify skew-torsion -----------------------------------------------------------
+
+
+def _matches_christoffel(v: GeneralizedMetric, points) -> bool:
+    """The B = 0 oracle: the connection equals the classical Christoffel symbols at
+    every point; a point where g is singular is an input error."""
+    deltas = coordinate_deltas(v)
+    for k, pt in enumerate(points):
+        try:
+            if connection_at(v, pt, deltas) != christoffel_classical_at(v, pt):
+                return False
+        except ZeroDivisionError:
+            raise gio.InputError(
+                f"points[{k}] = ({', '.join(map(str, pt))}): g is singular there") from None
+    return True
 
 
 def skew_torsion_suite(dim: int, metrics: int, points: int, seed: int) -> Report:
@@ -216,12 +214,8 @@ def skew_torsion_suite(dim: int, metrics: int, points: int, seed: int) -> Report
     oracle_ok = True
     for _ in range(metrics):
         v = random_metric(chart, rng)
-        g_only = GeneralizedMetric.from_g_and_b(
-            chart, [[v.g_entry(i, j) for j in range(dim)] for i in range(dim)])
-        deltas = coordinate_deltas(g_only)
-        for pt in sample_points:
-            if connection_at(g_only, pt, deltas) != christoffel_classical_at(g_only, pt):
-                oracle_ok = False
+        oracle_ok &= _matches_christoffel(GeneralizedMetric.from_g_and_b(
+            chart, [[v.g_entry(i, j) for j in range(dim)] for i in range(dim)]), sample_points)
     report.add("christoffel-oracle",
                "B=0: Gamma^l_ij = g^{lk}(g_jk,i + g_ik,j - g_ij,k)/2 (independent oracle)",
                exact_zero=oracle_ok)
@@ -276,18 +270,10 @@ def skew_torsion_file(metric_path: str, points_path: str | None) -> Report:
     report.add("metric-compatibility", "X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla_X Z)",
                exact_zero=rep.metric_compatible,
                residual=_max_abs_coeff(rep.compatibility_residuals))
-    if pts:
-        oracle_ok = True
-        b_zero = all(v.b_entry(i, j).is_zero
-                     for i in range(v.chart.dim) for j in range(v.chart.dim))
-        if b_zero:
-            deltas = coordinate_deltas(v)
-            for pt in pts:
-                if connection_at(v, pt, deltas) != christoffel_classical_at(v, pt):
-                    oracle_ok = False
-            report.add("christoffel-oracle",
-                       "B=0: Gamma matches the classical Christoffel symbols",
-                       exact_zero=oracle_ok)
+    if pts and all(v.b_entry(i, j).is_zero
+                   for i in range(v.chart.dim) for j in range(v.chart.dim)):
+        report.add("christoffel-oracle", "B=0: Gamma matches the classical Christoffel symbols",
+                   exact_zero=_matches_christoffel(v, pts))
     if rep.definiteness_warnings:
         report.extra["warnings"] = rep.definiteness_warnings
     return report
@@ -302,15 +288,12 @@ def twisted_suite(dim: int, cases: int, seed: int, cover_path: str | None = None
     report = Report("verify-twisted",
                     {"dim": dim, "cases": cases, "seed": seed, "input": cover_path})
 
-    bad = []
+    residuals = []
     for _ in range(cases):
         psi = random_mixed_form(chart, rng)
         h = exterior_derivative(random_mixed_form(chart, rng, degrees=(2,)))
-        r = twisted_differential(twisted_differential(psi, h), h)
-        if not r.is_zero:
-            bad.append(r)
-    report.add("twisted-d-squared", "(d - H)^2 psi = 0 for closed H", exact_zero=not bad,
-               residual=_max_abs_coeff(bad))
+        residuals.append(twisted_differential(twisted_differential(psi, h), h))
+    _exact_check(report, "twisted-d-squared", "(d - H)^2 psi = 0 for closed H", residuals)
 
     if cover_path:
         cover = gio.parse_cover(gio.load_json(cover_path))
@@ -432,25 +415,26 @@ def spin55_analyze(rho: RhoPair, points=None) -> Report:
 # -- flow run ----------------------------------------------------------------------
 
 
+STABILITY_CHECK = ("stability", "f != 0 with a constant orbit sign at every node")
+
+
 def flow_run_report(config, trajectory_path: str | None, csv_path: str | None) -> Report:
-    from .flow import mean_mode_invariants, run_flow
+    from .flow import run_flow
 
     report = Report("flow-run", {**config.__dict__, "diagnostics": list(config.diagnostics)})
     try:
         traj = run_flow(config)
     except StabilityError as e:
-        report.add("stability", "f != 0 with a constant orbit sign at every node",
-                   exact_zero=False, residual=str(e))
+        report.add(*STABILITY_CHECK, exact_zero=False, residual=str(e))
         return report
-    report.add("stability", "f != 0 with a constant orbit sign at every node",
-               exact_zero=True)
+    report.add(*STABILITY_CHECK, exact_zero=True)
     diag = traj.diagnostics
     if "closedness" in config.diagnostics:
         worst = max(max(d["d_rho1"], d["d_rho2"]) for d in diag)
         report.add("closedness", "d rho = 0 is preserved along the flow",
                    residual=worst, passed=worst < 1e-9)
     if "mean-modes" in config.diagnostics:
-        drift = mean_mode_invariants(traj).max_drift
+        drift = max(d["mean_mode_drift"] for d in diag)
         report.add("mean-modes", "spatial zero-Fourier mode of rho is constant in t",
                    residual=drift, passed=drift < 1e-10)
     if "hamiltonian" in config.diagnostics:
@@ -501,8 +485,7 @@ def sixdim_report(trajectory_path: str, z_text: str | None) -> Report:
     try:
         rep = check_trajectory(traj, z_values, traj.config.method, traj.config.stability_floor)
     except StabilityError as e:
-        report.add("stability", "f != 0 with a constant orbit sign at every node",
-                   exact_zero=False, residual=str(e))
+        report.add(*STABILITY_CHECK, exact_zero=False, residual=str(e))
         return report
     except SignatureError as e:
         report.add("gram-signature", signature_anchor, residual=str(e), passed=False)
@@ -530,6 +513,13 @@ def sixdim_report(trajectory_path: str, z_text: str | None) -> Report:
 # -- argument parsing ------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer >= 1 (a count of 0 would test nothing)."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gengeo",
@@ -542,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vi = vsub.add_parser("identities", help="Courant/Clifford/B-field identities")
     vi.add_argument("--dim", type=int, default=3)
-    vi.add_argument("--cases", type=int, default=100)
+    vi.add_argument("--cases", type=_count, default=100)
     vi.add_argument("--seed", type=int, default=0)
     vi.add_argument("--max-degree", type=int, default=2)
     vi.add_argument("--out")
@@ -551,15 +541,15 @@ def build_parser() -> argparse.ArgumentParser:
     vs.add_argument("--input", help="GeneralizedMetric JSON file")
     vs.add_argument("--points", help="points JSON file")
     vs.add_argument("--dim", type=int, default=3)
-    vs.add_argument("--metrics", type=int, default=10)
-    vs.add_argument("--sample-points", type=int, default=20)
+    vs.add_argument("--metrics", type=_count, default=10)
+    vs.add_argument("--sample-points", type=_count, default=20)
     vs.add_argument("--seed", type=int, default=0)
     vs.add_argument("--out")
 
     vt = vsub.add_parser("twisted", help="cocycle, gluing and twisted differential")
     vt.add_argument("--input", help="CoverData JSON file")
     vt.add_argument("--dim", type=int, default=4)
-    vt.add_argument("--cases", type=int, default=50)
+    vt.add_argument("--cases", type=_count, default=50)
     vt.add_argument("--seed", type=int, default=0)
     vt.add_argument("--out")
 
@@ -626,7 +616,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except gio.InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except (CoverError, StabilityError, ValueError) as e:
+    except ValueError as e:     # CoverError and StabilityError among them
         print(f"error: {e}", file=sys.stderr)
         return 2
     parser.error("unknown command")

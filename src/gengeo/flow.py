@@ -851,14 +851,3 @@ def nahm_residual(states: Sequence[GridState], method: str = "spectral",
         h_residual_lambda_hh2=grid_norm(rhp, cell),
         lambda_max=float(np.max(np.abs(lam))),
     )
-
-
-@dataclass
-class MeanModeReport:
-    max_drift: float
-
-
-def mean_mode_invariants(traj: Trajectory) -> MeanModeReport:
-    """Zero-Fourier-mode drift of every coefficient along the trajectory."""
-    drifts = [d.get("mean_mode_drift", 0.0) for d in traj.diagnostics]
-    return MeanModeReport(max_drift=max(drifts, default=0.0))

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Any, Iterator, Mapping
 
 from .algebra import Chart, Polynomial
-from .forms import MixedForm, VectorField
+from .forms import MixedForm
 from .generalized import GenSection
 from .metric import GeneralizedMetric
 from .spin55 import RhoPair
@@ -46,8 +46,14 @@ def load_json(path: str) -> Any:
 def _fraction(value, where: str) -> Fraction:
     try:
         return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError):
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
         raise InputError(f"{where}: not a rational number: {value!r}") from None
+
+
+def _int_list(value, where: str) -> list[int]:
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise InputError(f"{where}: expected a list of integers")
+    return value
 
 
 def parse_polynomial(chart: Chart, obj, where: str = "polynomial") -> Polynomial:
@@ -57,11 +63,10 @@ def parse_polynomial(chart: Chart, obj, where: str = "polynomial") -> Polynomial
         raise InputError(f"{where}: expected a list of monomial entries")
     terms: dict[tuple[int, ...], Fraction] = {}
     for k, entry in enumerate(obj):
-        try:
-            exps = tuple(int(e) for e in entry["exponents"])
-            coeff = _fraction(entry["coeff"], f"{where}[{k}].coeff")
-        except (KeyError, TypeError):
-            raise InputError(f"{where}[{k}]: needs 'exponents' and 'coeff'") from None
+        if not isinstance(entry, Mapping) or "exponents" not in entry or "coeff" not in entry:
+            raise InputError(f"{where}[{k}]: needs 'exponents' and 'coeff'")
+        exps = tuple(_int_list(entry["exponents"], f"{where}[{k}].exponents"))
+        coeff = _fraction(entry["coeff"], f"{where}[{k}].coeff")
         if len(exps) != chart.dim:
             raise InputError(f"{where}[{k}]: {len(exps)} exponents for dim {chart.dim}")
         terms[exps] = terms.get(exps, Fraction(0)) + coeff
@@ -69,14 +74,13 @@ def parse_polynomial(chart: Chart, obj, where: str = "polynomial") -> Polynomial
 
 
 def parse_mixed_form(chart: Chart, obj, where: str = "form") -> MixedForm:
-    if not isinstance(obj, Mapping) or "terms" not in obj:
+    if not isinstance(obj, Mapping) or not isinstance(obj.get("terms"), list):
         raise InputError(f"{where}: expected {{'terms': [...]}}")
     terms: dict[tuple[int, ...], Polynomial] = {}
     for k, entry in enumerate(obj["terms"]):
-        try:
-            indices = tuple(int(i) - 1 for i in entry["indices"])
-        except (KeyError, TypeError):
-            raise InputError(f"{where}.terms[{k}]: needs 'indices'") from None
+        if not isinstance(entry, Mapping) or "indices" not in entry:
+            raise InputError(f"{where}.terms[{k}]: needs 'indices'")
+        indices = tuple(i - 1 for i in _int_list(entry["indices"], f"{where}.terms[{k}].indices"))
         coeff = parse_polynomial(chart, entry.get("coeff", 1), f"{where}.terms[{k}].coeff")
         if indices in terms:
             terms[indices] = terms[indices] + coeff
@@ -95,22 +99,6 @@ def mixed_form_to_json(m: MixedForm) -> dict:
     return {"terms": out}
 
 
-def parse_vector_field(chart: Chart, obj, where: str = "vector") -> VectorField:
-    if not isinstance(obj, list) or len(obj) != chart.dim:
-        raise InputError(f"{where}: expected {chart.dim} component polynomials")
-    return VectorField(chart, [parse_polynomial(chart, c, f"{where}[{i}]")
-                               for i, c in enumerate(obj)])
-
-
-def parse_gen_section(chart: Chart, obj, where: str = "section") -> GenSection:
-    if not isinstance(obj, Mapping):
-        raise InputError(f"{where}: expected {{'vector': [...], 'oneform': [...]}}")
-    vec = parse_vector_field(chart, obj.get("vector", []), f"{where}.vector")
-    # the 1-form's dim component polynomials parse like a vector field's
-    xi = parse_vector_field(chart, obj.get("oneform", []), f"{where}.oneform").components
-    return GenSection(vec, MixedForm(chart, {(i,): p for i, p in enumerate(xi)}))
-
-
 def gen_section_to_json(u: GenSection) -> dict:
     n = u.chart.dim
     return {
@@ -123,12 +111,17 @@ def parse_metric(obj, where: str = "metric") -> GeneralizedMetric:
     if not isinstance(obj, Mapping) or "C" not in obj:
         raise InputError(f"{where}: expected {{'C': [[...], ...]}}")
     rows = obj["C"]
+    if not isinstance(rows, list):
+        raise InputError(f"{where}.C: expected a list of rows")
     n = len(rows)
-    chart = Chart(n)
+    try:
+        chart = Chart(n)
+    except ValueError as e:
+        raise InputError(f"{where}.C: {e}") from None
     matrix = []
     for i, row in enumerate(rows):
-        if len(row) != n:
-            raise InputError(f"{where}.C[{i}]: expected {n} entries")
+        if not isinstance(row, list) or len(row) != n:
+            raise InputError(f"{where}.C[{i}]: expected a list of {n} entries")
         matrix.append([parse_polynomial(chart, c, f"{where}.C[{i}][{j}]")
                        for j, c in enumerate(row)])
     return GeneralizedMetric(chart, matrix)
@@ -138,10 +131,15 @@ def parse_cover(obj, where: str = "cover") -> CoverData:
     if not isinstance(obj, Mapping) or "charts" not in obj:
         raise InputError(f"{where}: expected {{'dim':n, 'charts':[...], 'A':{{...}}}}")
     try:
-        chart = Chart(int(obj.get("dim", 3)))
+        chart = Chart(obj.get("dim", 3))
     except ValueError as e:
         raise InputError(f"{where}.dim: {e}") from None
-    labels = [str(a) for a in obj["charts"]]
+    labels = obj["charts"]
+    if not isinstance(labels, list) or not all(isinstance(a, str) for a in labels):
+        raise InputError(f"{where}.charts: expected a list of chart labels")
+    for key in ("A", "B"):
+        if not isinstance(obj.get(key, {}), (Mapping, type(None))):
+            raise InputError(f"{where}.{key}: expected an object")
     overlaps = {}
     for key, form_obj in (obj.get("A") or {}).items():
         parts = [p.strip() for p in str(key).strip("()").split(",")]
@@ -161,9 +159,8 @@ def parse_cover(obj, where: str = "cover") -> CoverData:
 def parse_rho_pair(obj, where: str = "rho") -> RhoPair:
     if not isinstance(obj, Mapping) or "rho1" not in obj or "rho2" not in obj:
         raise InputError(f"{where}: expected {{'rho1': form, 'rho2': form}}")
-    dim = int(obj.get("dim", 5))
-    if dim != 5:
-        raise InputError(f"{where}: rho pairs live on a 5-chart, got dim {dim}")
+    if obj.get("dim", 5) != 5:
+        raise InputError(f"{where}: rho pairs live on a 5-chart, got dim {obj['dim']!r}")
     chart = Chart(5)
     try:
         return RhoPair(parse_mixed_form(chart, obj["rho1"], f"{where}.rho1"),

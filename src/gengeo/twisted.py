@@ -120,10 +120,7 @@ def check_cocycle(cover: CoverData) -> CocycleReport:
 def glue_section(cover: CoverData, u: GenSection, overlap: Overlap) -> GenSection:
     """Transport a section from U_a to U_b by the B-field action of dA_ab."""
     a, b = overlap
-    da = exterior_derivative(cover.overlap_form(a, b))
-    if da.is_zero:
-        return u
-    return bfield_on_section(da, u)
+    return bfield_on_section(exterior_derivative(cover.overlap_form(a, b)), u)
 
 
 def twisted_differential(psi: MixedForm, h: MixedForm) -> MixedForm:
@@ -149,14 +146,9 @@ def globalize_with_curving(phis: Mapping[str, MixedForm], cover: CoverData) -> d
         if a not in phis:
             raise CoverError(f"missing section on chart {a!r}")
     for (a, b) in cover.overlaps:
-        da = exterior_derivative(cover.overlap_form(a, b))
-        expected = bfield_on_form(da, phis[b]) if not da.is_zero else phis[b]
-        if phis[a] != expected:
+        if phis[a] != bfield_on_form(exterior_derivative(cover.overlap_form(a, b)), phis[b]):
             raise CoverError(f"inconsistent sections: phi_{a} != e^(dA_{a}{b}) phi_{b}")
-    psis = {}
-    for a in cover.labels:
-        b_a = cover.curving[a]
-        psis[a] = bfield_on_form(b_a, phis[a]) if not b_a.is_zero else phis[a]
+    psis = {a: bfield_on_form(cover.curving[a], phis[a]) for a in cover.labels}
     reference = psis[cover.labels[0]]
     for a, psi in psis.items():
         if psi != reference:

@@ -26,8 +26,7 @@ from gengeo.spin55 import (commuting_triple_check, decompose, normal_form,
                            q_vector, quartic_invariant, random_rho_pair,
                            v_triple, variational_residual, volume_gradient_check)
 from gengeo.twisted import CoverData, check_cocycle, globalize_with_curving, twisted_differential
-from gengeo.flow import (FlowConfig, flow_step, initial_state, mean_mode_invariants,
-                         nahm_residual, run_flow)
+from gengeo.flow import FlowConfig, flow_step, initial_state, nahm_residual, run_flow
 from gengeo.sixdim import (annihilator_check, build_sigma, dsigma_residual, ez_check,
                            gram_signature)
 
@@ -299,7 +298,7 @@ def test_criterion_09_flow(drift_runs):
     order = math.log2(d1 / d2)
 
     # zero-Fourier modes along the base run
-    drift = mean_mode_invariants(drift_runs[DT0]).max_drift
+    drift = max(d["mean_mode_drift"] for d in drift_runs[DT0].diagnostics)
     elapsed = (time.time() - start) + drift_runs["elapsed"]
 
     ok = fp < 1e-12 and order >= 3.5 and drift < 1e-10 and elapsed < 300

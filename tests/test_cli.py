@@ -3,17 +3,19 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gengeo
 from gengeo import io as gio
 from gengeo.algebra import Chart, random_polynomial
-from gengeo.cli import main
-from gengeo.forms import random_mixed_form
-from gengeo.generalized import random_section
+from gengeo.cli import Report, _exact_check, main
+from gengeo.forms import VectorField, random_mixed_form
+from gengeo.generalized import GenSection
 from gengeo.spin55 import DEFAULT_PROBE_POINTS, normal_form, quartic_invariant
 
 
@@ -252,6 +254,61 @@ def test_bad_points_file_exit_2(tmp_path, capsys, points, message):
         assert message in capsys.readouterr().err
 
 
+TWISTED = ["verify", "twisted", "--cases", "1", "--input"]
+
+
+@pytest.mark.parametrize("command, obj, message", [
+    (["verify", "skew-torsion", "--input"], {"C": 5}, "metric.C: expected a list of rows"),
+    (["verify", "skew-torsion", "--input"], {"C": [1, 2]},
+     "metric.C[0]: expected a list of 2 entries"),
+    (TWISTED, {"charts": 5}, "cover.charts: expected a list of chart labels"),
+    (TWISTED, {"charts": "ab"}, "cover.charts: expected a list of chart labels"),
+    (TWISTED, {"charts": ["a", "b"], "A": [1]}, "cover.A: expected an object"),
+    (TWISTED, {"charts": ["a", "b"], "B": [1]}, "cover.B: expected an object"),
+    (["spin55", "analyze"], {"rho1": {"terms": 5}, "rho2": {"terms": []}},
+     "rho.rho1: expected {'terms': [...]}"),
+], ids=["metric-C-number", "metric-C-row-numbers", "cover-charts-number",
+        "cover-charts-string", "cover-A-list", "cover-B-list", "rho-terms-number"])
+def test_malformed_input_files_exit_2(tmp_path, capsys, command, obj, message):
+    # each was a TypeError or AttributeError traceback (exit 1); the charts string
+    # ran as two charts named a and b (exit 0)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli([*command, str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_singular_metric_at_a_given_point_exit_2(tmp_path, capsys):
+    # the B = 0 oracle's exact solve raised ZeroDivisionError (a traceback, exit 1)
+    metric, points = tmp_path / "m.json", tmp_path / "p.json"
+    metric.write_text(json.dumps({"C": [[0, 0], [0, 0]]}))
+    points.write_text(json.dumps({"points": [[0, 0]]}))
+    assert run_cli(["verify", "skew-torsion", "--input", str(metric),
+                    "--points", str(points)]) == 2
+    assert "input error: points[0] = (0, 0): g is singular there" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "identities", "--cases", "0"], ["verify", "identities", "--cases", "-4"],
+    ["verify", "skew-torsion", "--metrics", "0"],
+    ["verify", "skew-torsion", "--sample-points", "0"], ["verify", "twisted", "--cases", "0"]])
+def test_counts_below_1_exit_2(capsys, args):
+    # each tested nothing and passed every check (exit 0)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    assert f"argument {args[2]}: expected an integer >= 1" in capsys.readouterr().err
+
+
+def test_exact_check_reads_every_vector_component():
+    # nonclosed-b-defect read only the first vector component: residual 0.0 here
+    chart = Chart(3)
+    section = GenSection.from_vector(VectorField.coordinate(chart, 2)).scale(Fraction(3, 2))
+    report = Report("r", {})
+    _exact_check(report, "c", "a", [GenSection.zero(chart), section])
+    assert (report.checks[0].residual, report.checks[0].passed) == (1.5, False)
+
+
 def test_non_object_flow_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "list.json"
     cfg.write_text("[1]")
@@ -421,8 +478,6 @@ def test_io_round_trips():
     assert gio.parse_polynomial(chart, p.to_json_obj()) == p
     m = random_mixed_form(chart, rng)
     assert gio.parse_mixed_form(chart, gio.mixed_form_to_json(m)) == m
-    u = random_section(chart, rng)
-    assert gio.parse_gen_section(chart, gio.gen_section_to_json(u)) == u
     rho = normal_form()
     back = gio.parse_rho_pair(gio.rho_pair_to_json(rho))
     assert back.rho1 == rho.rho1 and back.rho2 == rho.rho2
@@ -442,6 +497,47 @@ def test_io_validation_messages():
         gio.load_json("/nonexistent/file.json")
 
 
+def _json_objects(inner):
+    """JSON objects: arbitrary keys, or any of the fields of a nested input format."""
+    formats = [("terms",), ("indices", "coeff"), ("exponents", "coeff"),
+               ("component", "indices", "k", "cos", "sin")]
+    return st.one_of(st.dictionaries(st.text(max_size=2), inner, max_size=3), *(
+        st.fixed_dictionaries({}, optional=dict.fromkeys(keys, inner)) for keys in formats))
+
+
+# bounded arbitrary JSON, NaN and Infinity included (json.load reads both)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats()
+    | st.sampled_from(["", "a", "b", "1/2", "1/0", "a,b", "x1"]),
+    lambda inner: st.lists(inner, max_size=5) | _json_objects(inner), max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_JSON_VALUES)
+def test_input_parsers_raise_only_value_errors(obj):
+    # each parser reads the value itself and the value in the places of its fields
+    from gengeo.flow import FlowConfig
+
+    ab = {"charts": ["a", "b"]}
+    for parse, value in (
+            (gio.parse_metric, obj), (gio.parse_metric, {"C": obj}),
+            (gio.parse_metric, {"C": [[obj]]}),
+            (gio.parse_cover, obj), (gio.parse_cover, {"charts": obj}),
+            (gio.parse_cover, {**ab, "dim": obj, "A": obj, "B": obj}),
+            (gio.parse_cover, {**ab, "A": {"a,b": obj}, "B": {"a": obj, "b": obj}}),
+            (gio.parse_rho_pair, obj), (gio.parse_rho_pair, {"rho1": obj, "rho2": obj}),
+            (lambda o: gio.parse_points(o, 5), obj),
+            (lambda o: gio.parse_points(o, 5), {"points": [obj]}),
+            (FlowConfig.from_json_obj, obj),
+            (FlowConfig.from_json_obj, {"N": obj, "dt": obj, "diagnostics": obj}),
+            (FlowConfig.from_json_obj, {"perturbation": obj}),
+            (FlowConfig.from_json_obj, {"perturbation": [obj]})):
+        try:
+            parse(value)
+        except ValueError:      # an input error; any other exception is a traceback
+            pass
+
+
 def _analyze_checks(tmp_path):
     out = tmp_path / "r.json"
     assert run_cli(["spin55", "analyze", "--normal-form", "--out", str(out)]) == 1
@@ -451,8 +547,6 @@ def _analyze_checks(tmp_path):
 
 def test_spin55_analyze_gram_failure_is_the_gram_constant_check(tmp_path, monkeypatch):
     # a wrong (h, h) constant makes the exact Gram comparison fail
-    from fractions import Fraction
-
     from gengeo import spin55
 
     monkeypatch.setattr(spin55, "GRAM_HH", Fraction(1, 2))
