@@ -419,11 +419,15 @@ STABILITY_CHECK = ("stability", "f != 0 with a constant orbit sign at every node
 
 
 def flow_run_report(config, trajectory_path: str | None, csv_path: str | None) -> Report:
+    import numpy as np
+
     from .flow import run_flow
 
     report = Report("flow-run", {**config.__dict__, "diagnostics": list(config.diagnostics)})
     try:
-        traj = run_flow(config)
+        # an overflowing state is reported as a non-finite f, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = run_flow(config)
     except StabilityError as e:
         report.add(*STABILITY_CHECK, exact_zero=False, residual=str(e))
         return report

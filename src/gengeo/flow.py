@@ -40,6 +40,7 @@ concurrently.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import numbers
@@ -220,10 +221,11 @@ class _Helper:
             self._run(*self.tasks.get())
 
     @staticmethod
-    def _run(fn: Callable[[int], Any], done: queue.SimpleQueue) -> None:
+    def _run(fn: Callable[[int], Any], context: contextvars.Context,
+             done: queue.SimpleQueue) -> None:
         # a frame of its own, so that no task outlives its call (fn may hold a state)
         try:
-            done.put((fn(1), None))
+            done.put((context.run(fn, 1), None))
         except BaseException as exc:        # handed to the caller, which raises it
             done.put((None, exc))
 
@@ -240,17 +242,18 @@ def _cpus() -> int:
 
 
 def _halves(fn: Callable[[int], Any]) -> list:
-    """[fn(0), fn(1)], fn(0) on the calling thread while the helper thread runs fn(1);
-    both inline when this process may use one CPU only or when called from the
-    helper itself.  Returns only once both halves have finished, even when fn(0)
-    raises; then fn(0)'s exception is raised, else fn(1)'s."""
+    """[fn(0), fn(1)], fn(0) on the calling thread while the helper thread runs fn(1)
+    in a copy of the caller's context (numpy's error state included); both inline
+    when this process may use one CPU only or when called from the helper itself.
+    Returns only once both halves have finished, even when fn(0) raises; then
+    fn(0)'s exception is raised, else fn(1)'s."""
     if _cpus() < 2 or (_helper and threading.current_thread() is _helper[0].thread):
         return [fn(0), fn(1)]
     with _helper_lock:
         if not _helper:
             _helper.append(_Helper())
     done: queue.SimpleQueue = queue.SimpleQueue()
-    _helper[0].tasks.put((fn, done))
+    _helper[0].tasks.put((fn, contextvars.copy_context(), done))
     try:
         first = fn(0)
     finally:

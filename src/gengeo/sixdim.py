@@ -18,6 +18,11 @@ d/dt and dt slots and w(z) holds the constants 1 and -2 there, so the checks ski
 or scale those terms.
 Every output component keeps its term order: only the sign of an exact zero
 can differ from the allocating formulas, and every report is unchanged.
+
+The annihilator's two Clifford actions and the bracket's gradients run on the
+flow's two threads (``flow._halves``): v(z).sigma and the gradients of w(z) and
+of the pairing on the calling thread, w(z).sigma and the gradient of v(z) on the
+helper; a one-CPU process runs both inline.  Every report is bitwise the serial one.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .flow import (GridState, SpinMemo, Trajectory, bracket_from_derivatives, courant_bracket_grid,
-                   gradient, grid_d, grid_norm, lambda_field, lattice_cell_volume, rho_hat_grid,
-                   section_pairing)
+from .flow import (GridState, SpinMemo, Trajectory, _halves, bracket_from_derivatives,
+                   courant_bracket_grid, gradient, grid_d, grid_norm, lambda_field,
+                   lattice_cell_volume, rho_hat_grid, section_pairing)
 from .tables import form_tables, section_inner
 
 DIM = 5
@@ -114,7 +119,8 @@ class ZWorkspace:
     """The z checks' buffers on one grid, rewritten for every z: ``count`` slices'
     (sigma, v, w), v's d/dt and dt slots 0 and w's d/dt - 2dt (the parts of v(z) and
     w(z) that depend on neither the state nor z); one shared 32-component output for
-    the Clifford actions, inner products, bracket and d sigma; a two-field scratch;
+    the inner products, bracket and d sigma, whose first four components are also the
+    annihilator halves' scratch (a component and a term each); a two-field scratch;
     and the bracket's spacetime gradients of two sections (6, 12, grid) and of their
     pairing (6, grid).  All but v and w come from ``np.empty``, untouched until written."""
 
@@ -235,19 +241,21 @@ def build_sigma(source: Trajectory | Sequence[GridState], z: ZValue,
 
 
 @lru_cache(maxsize=None)
-def _entries(skip_dt_slots: bool) -> list:
-    """The 6-d Clifford entries on even forms grouped by output component, each
-    component's terms in table order (a stable sort), so that each output stays in
-    cache while it is summed; without the d/dt and dt slots if ``skip_dt_slots``."""
-    entries = form_tables(DIM6).clifford[0]
+def _dst_entries(skip_dt_slots: bool) -> list[list]:
+    """The 6-d Clifford entries on even forms as one list per output component, each
+    in table order (``clifford_by_dst``); without the d/dt and dt slots if
+    ``skip_dt_slots``."""
+    by_dst = form_tables(DIM6).clifford_by_dst[0]
     if skip_dt_slots:
-        entries = [e for e in entries if e[0] not in _DT_SECTION]
-    return sorted(entries, key=lambda e: e[2])
+        by_dst = [[e for e in entries if e[0] not in _DT_SECTION] for entries in by_dst]
+    return by_dst
 
 
 def annihilator_check(s: SigmaSlice, ws: ZWorkspace | None = None) -> tuple[float, float]:
-    """Max-abs of v(z).sigma(z) and w(z).sigma(z) over all nodes, each written into
-    ``ws.out`` (a fresh workspace's if None).
+    """Max-abs of v(z).sigma(z) and w(z).sigma(z) over all nodes, v(z) on half 0 of
+    ``_halves`` and w(z) on half 1.  Half i builds its action one output component at
+    a time into ``ws.out[2i]``, with ``ws.out[2i + 1]`` as the term (a fresh
+    workspace's if None), and reduces each component to its max|.| at once.
 
     v(z) vanishes on the d/dt and dt slots, so their terms are left out, and w(z)
     holds the constants of d/dt - 2dt there, applied as scalars: an output can
@@ -258,10 +266,16 @@ def annihilator_check(s: SigmaSlice, ws: ZWorkspace | None = None) -> tuple[floa
     w = list(s.w_z)
     for slot, value in _DT_SECTION.items():
         w[slot] = value
-    ft6.clifford_apply(s.v_z, s.sigma, 0, ws.out, ws.term[0], _entries(True))
-    av = _max_abs(ws.out)
-    ft6.clifford_apply(w, s.sigma, 0, ws.out, ws.term[0], _entries(False))
-    return av, _max_abs(ws.out)
+    sections, entries = (s.v_z, w), (_dst_entries(True), _dst_entries(False))
+
+    def half(i: int) -> float:
+        buf, term = ws.out[2 * i: 2 * i + 2]
+        # np.max, not max: a NaN component propagates as in one max over all of them
+        return float(np.max([_max_abs(ft6.clifford_apply(sections[i], s.sigma, 0, (buf,),
+                                                         term, dst)[0])
+                             for dst in entries[i]]))
+
+    return tuple(_halves(half))
 
 
 @lru_cache(maxsize=None)
@@ -356,14 +370,23 @@ def courant_bracket_6d(u_slices: Sequence[np.ndarray], v_slices: Sequence[np.nda
     ``ZWorkspace`` if None) into ``ws.out[:12]``.
 
     Sections are (12, grid) per slice; the time axis enters through central
-    differences of the slice sequence, the spatial axes spectrally.
+    differences of the slice sequence, the spatial axes spectrally.  The gradients
+    of u and of the pairing are half 0 of ``_halves``, that of v half 1.
     """
     ws = ZWorkspace(u_slices[1].shape[1:]) if ws is None else ws
-    pairings = [section_pairing(us, vs, DIM6) for us, vs in zip(u_slices, v_slices)]
-    return bracket_from_derivatives(u_slices[1], v_slices[1], *(
-        _spacetime_gradient(slices, n, dt, method, out)
-        for slices, out in zip((u_slices, v_slices, pairings), ws.gradients)),
-        out=ws.out[:2 * DIM6])
+    du, dv, dpairing = ws.gradients
+
+    def half(i: int) -> None:
+        if i:
+            _spacetime_gradient(v_slices, n, dt, method, dv)
+            return
+        _spacetime_gradient(u_slices, n, dt, method, du)
+        pairings = [section_pairing(us, vs, DIM6) for us, vs in zip(u_slices, v_slices)]
+        _spacetime_gradient(pairings, n, dt, method, dpairing)
+
+    _halves(half)
+    return bracket_from_derivatives(u_slices[1], v_slices[1], du, dv, dpairing,
+                                    out=ws.out[:2 * DIM6])
 
 
 @dataclass
@@ -486,7 +509,9 @@ def check_trajectory(source: Trajectory | Sequence[GridState],
     states (see ``build_sigma``), so repeated calls on one trajectory
     evaluate them once; the states' rho1/rho2 become read-only.  Every z
     is checked in the one ``ZWorkspace`` kept on the first state's memo, so
-    calls on one trajectory must not run concurrently.
+    calls on one trajectory must not run concurrently; calls on separate
+    trajectories may, and share the flow's helper thread for the annihilator's
+    w(z) half and the bracket's v(z) gradient.
     """
     states = _states(source)
     ann_v: dict[str, float] = {}

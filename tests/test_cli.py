@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -411,17 +412,40 @@ def test_sixdim_check_z_without_finite_floats_exit_2(tmp_path, capsys, z):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_flow_with_a_non_finite_f_is_a_failed_stability_check(tmp_path):
     # dt = 1e308 overflows the state and f becomes NaN; "nan <= floor" is False, so
-    # the failure was reported as an orbit sign flip
+    # the failure was reported as an orbit sign flip.  No RuntimeWarning may escape
+    # either thread (the test configuration turns one into an error).
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"N": 4, "steps": 1, "dt": 1e308}))
     out = tmp_path / "r.json"
     assert run_cli(["flow", "run", "--config", str(cfg), "--out", str(out)]) == 1
     check, = (c for c in read(out)["checks"] if c["id"] == "stability")
     assert not check["passed"] and check["residual"].startswith("f is not finite at t=")
+
+
+def test_flow_with_a_non_finite_f_writes_nothing_to_stderr(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 4, "steps": 1, "dt": 1e308}))
+    in_process, child = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli(["flow", "run", "--config", str(cfg), "--out", str(in_process)]) == 1
+    src = Path(gengeo.__file__).resolve().parent.parent      # the child imports this gengeo
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "gengeo.cli", "flow", "run", "--config", str(cfg),
+                           "--out", str(child)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert child.read_bytes() == in_process.read_bytes()
+
+
+def test_run_flow_called_directly_still_warns_on_overflow():
+    from gengeo.flow import FlowConfig, run_flow
+
+    # only the CLI silences numpy; the library's warnings still reach the filters
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow|invalid value"):
+            run_flow(FlowConfig(n=4, steps=1, dt=1e308))
 
 
 def test_spin55_analyze_late_stability_error_is_failed_check(tmp_path, monkeypatch):

@@ -303,3 +303,16 @@ def test_a_forked_child_starts_its_own_helper():
         os.waitpid(pid, 0)
         pytest.fail("the forked child's halves did not finish")
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_the_helper_half_runs_under_the_callers_numpy_error_state():
+    big = np.array([1e308])
+
+    def overflow(i):                        # only half 1 overflows
+        return big * 10.0 if i else big
+
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            flow._halves(overflow)
+    with np.errstate(over="ignore"):
+        assert np.isinf(flow._halves(overflow)[1]).all()

@@ -286,8 +286,12 @@ def test_nullity_rows_come_from_one_entry_per_slot_and_component():
     assert len(set(zip(slot.tolist(), dst.tolist()))) == len(slot) == 192
     assert np.bincount(slot).tolist() == [16] * (2 * DIM6)
     # the v(z) entries skip the d/dt and dt slots and keep each component's term order
-    entries = sixdim._entries(True)
+    n_odd = form_tables(DIM6).n_odd
+    entries = [e for per_dst in sixdim._dst_entries(True) for e in per_dst]
     assert len(entries) == 160 and not {e[0] for e in entries} & {0, DIM6}
     table = form_tables(DIM6).clifford[0]
-    for k in range(form_tables(DIM6).n_odd):
-        assert [e for e in sixdim._entries(False) if e[2] == k] == [e for e in table if e[2] == k]
+    assert len(sixdim._dst_entries(True)) == len(sixdim._dst_entries(False)) == n_odd
+    for k in range(n_odd):
+        want = [(slot, src, 0, sign) for slot, src, dst, sign in table if dst == k]
+        assert sixdim._dst_entries(False)[k] == want
+        assert sixdim._dst_entries(True)[k] == [e for e in want if e[0] not in (0, DIM6)]
