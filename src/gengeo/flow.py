@@ -47,6 +47,7 @@ import numbers
 import os
 import queue
 import threading
+import zipfile
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -246,7 +247,8 @@ def _halves(fn: Callable[[int], Any]) -> list:
     in a copy of the caller's context (numpy's error state included); both inline
     when this process may use one CPU only or when called from the helper itself.
     Returns only once both halves have finished, even when fn(0) raises; then
-    fn(0)'s exception is raised, else fn(1)'s."""
+    fn(0)'s exception is raised, else fn(1)'s.  Inline, fn(1) never starts once
+    fn(0) has raised."""
     if _cpus() < 2 or (_helper and threading.current_thread() is _helper[0].thread):
         return [fn(0), fn(1)]
     with _helper_lock:
@@ -657,7 +659,11 @@ class Trajectory:
 
     @staticmethod
     def load(path: str) -> "Trajectory":
-        """Read a saved ring; raises ValueError if its arrays do not fit together."""
+        """Read a saved ring; raises ValueError if the file is not an npz or its arrays
+        do not fit together."""
+        with open(path, "rb") as fh:
+            if not zipfile.is_zipfile(fh):
+                raise ValueError("not a trajectory written by `flow run` (not an .npz file)")
         # every npz access decompresses the member again: read each one once
         with np.load(path, allow_pickle=False) as data:
             config = FlowConfig.from_json_obj(json.loads(str(data["config"])))
@@ -804,6 +810,21 @@ class NahmResidual:
         return max(self.v1_residual, self.h_residual, self.v2_residual)
 
 
+def central_window(items: Sequence) -> tuple[Any, Any, Any, float]:
+    """The last three of ``items`` (states or sigma slices, each with a time ``t``)
+    and their time step dt; ValueError unless there are three, uniformly spaced with
+    dt != 0, as central time differences need."""
+    if len(items) < 3:
+        raise ValueError("central time differences need at least 3 states")
+    prev, mid, nxt = items[-3:]
+    dt = mid.t - prev.t
+    if dt == 0:
+        raise ValueError("central time differences need dt != 0")
+    if not np.isclose(nxt.t - mid.t, dt):
+        raise ValueError("states are not uniformly spaced in time")
+    return prev, mid, nxt, dt
+
+
 def nahm_residual(states: Sequence[GridState], method: str = "spectral",
                   floor: float = 1e-6, triples: Sequence[tuple] | None = None) -> NahmResidual:
     """Central-difference residuals of the bracket evolution equations.
@@ -817,14 +838,7 @@ def nahm_residual(states: Sequence[GridState], method: str = "spectral",
     alternative normalization (h,h) = 2, i.e. lambda = -(h,[v1,v2])/2.
     ``triples`` gives the three states' ``signed_triple`` values if already built.
     """
-    if len(states) < 3:
-        raise ValueError("need at least 3 stored states for central differences")
-    prev, mid, nxt = states[-3], states[-2], states[-1]
-    dt = mid.t - prev.t
-    if dt == 0:
-        raise ValueError("central time differences need dt != 0")
-    if not np.isclose(nxt.t - mid.t, dt):
-        raise ValueError("states are not uniformly spaced in time")
+    prev, mid, nxt, dt = central_window(states)
     n = mid.n
     cell = mid.cell_volume
 

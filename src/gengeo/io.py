@@ -24,14 +24,23 @@ class InputError(ValueError):
 
 
 @contextmanager
-def reading(path: str) -> Iterator[None]:
-    """Report a missing file or a directory at ``path`` as an InputError."""
+def _path_errors(path: str, missing: str) -> Iterator[None]:
     try:
         yield
-    except FileNotFoundError:
-        raise InputError(f"{path}: no such file") from None
+    except (FileNotFoundError, NotADirectoryError):
+        raise InputError(f"{path}: {missing}") from None
     except IsADirectoryError:
         raise InputError(f"{path}: is a directory") from None
+
+
+def reading(path: str):
+    """Report a missing file or a directory at ``path`` as an InputError."""
+    return _path_errors(path, "no such file")
+
+
+def writing(path: str):
+    """Report a missing directory for ``path``, or a directory at it, as an InputError."""
+    return _path_errors(path, "no such directory")
 
 
 def load_json(path: str) -> Any:

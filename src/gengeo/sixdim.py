@@ -10,12 +10,12 @@ plane, and sweep out a rank-4 subbundle of signature (2,2).
 z = 0 and z = infinity use the polynomial reductions u -> u -+ z^{-+1} v:
 u_red(0) = -2h with sigma(0) = sigma_1, u_red(inf) = +2h with sigma_2.
 
-``check_trajectory`` writes sigma(z), v(z), w(z), the checks' outputs and the
-bracket's gradients in place into one ``ZWorkspace``, kept on the first state's
-spin memo and reused for every z; called without one, ``build_sigma`` and the
-checks build a fresh ``ZWorkspace`` and run the same path.  v(z) vanishes on the
-d/dt and dt slots and w(z) holds the constants 1 and -2 there, so the checks skip
-or scale those terms.
+``build_sigma`` writes sigma(z), v(z) and w(z) in place into a ``ZWorkspace``
+(the one ``check_trajectory`` keeps on the first state's spin memo and reuses for
+every z, or a fresh one), and each slice keeps that workspace: the checks write
+their outputs and the bracket's gradients into the workspace of their slices.
+v(z) vanishes on the d/dt and dt slots and w(z) holds the constants 1 and -2
+there, so the checks skip or scale those terms.
 Every output component keeps its term order: only the sign of an exact zero
 can differ from the allocating formulas, and every report is unchanged.
 
@@ -37,8 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .flow import (GridState, SpinMemo, Trajectory, _halves, bracket_from_derivatives,
-                   courant_bracket_grid, gradient, grid_d, grid_norm, lambda_field,
-                   lattice_cell_volume, rho_hat_grid, section_pairing)
+                   central_window, courant_bracket_grid, gradient, grid_d, grid_norm,
+                   lambda_field, lattice_cell_volume, rho_hat_grid, section_pairing)
 from .tables import form_tables, section_inner
 
 DIM = 5
@@ -54,8 +54,15 @@ DEFAULT_Z_SWEEP: tuple[ZValue, ...] = (
 
 def parse_z_list(text: str) -> list[ZValue]:
     """The comma-separated z values: "inf" (or "oo"), or rationals with finite floats
-    z and, for z != 0, 1/z, as sigma(z) uses them; ValueError otherwise."""
-    return [_z_value(token.strip()) for token in text.split(",") if token.strip()]
+    z and, for z != 0, 1/z, as sigma(z) uses them; ValueError otherwise, and for a
+    list that names no z or names one twice."""
+    values = [_z_value(token.strip()) for token in text.split(",") if token.strip()]
+    if not values:
+        raise ValueError(f"z list {text!r} names no z")
+    repeated = [z for k, z in enumerate(values) if z in values[:k]]
+    if repeated:
+        raise ValueError(f"z list {text!r} names z = {repeated[0]} twice")
+    return values
 
 
 def _z_value(token: str) -> ZValue:
@@ -171,7 +178,8 @@ def _write_slice(state: GridState, memo: SpinMemo, z: ZValue, buffers: tuple[np.
 @dataclass
 class SigmaSlice:
     """sigma(z), v(z), w(z) and the underlying spatial data on one time slice, in
-    the buffers of the ``ZWorkspace`` it was built in (overwritten by its next z)."""
+    the buffers of the ``ZWorkspace`` it was built in (overwritten by its next z),
+    whose other buffers the checks on this slice write."""
 
     z: ZValue
     t: float
@@ -180,6 +188,7 @@ class SigmaSlice:
     v_z: np.ndarray     # (12, grid)
     w_z: np.ndarray     # (12, grid)
     spin: SpinMemo      # the state's z-independent fields
+    ws: ZWorkspace      # the workspace that holds these buffers
 
     @property
     def triple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,14 +217,6 @@ def _states(source: Trajectory | Sequence[GridState]) -> list[GridState]:
     return states
 
 
-def _workspace(states: Sequence[GridState], floor: float) -> ZWorkspace:
-    """The z checks' workspace for these states, kept on the first state's memo."""
-    memo = _spin_memo(states[0], floor)
-    if memo.workspace is None or len(memo.workspace.slices) < len(states):
-        memo.workspace = ZWorkspace(states[0].rho1.shape[1:], len(states))
-    return memo.workspace
-
-
 def build_sigma(source: Trajectory | Sequence[GridState], z: ZValue,
                 floor: float = 1e-6, ws: ZWorkspace | None = None) -> list[SigmaSlice]:
     """Assemble sigma(z) slices (one per stored state) from a trajectory.
@@ -233,7 +234,7 @@ def build_sigma(source: Trajectory | Sequence[GridState], z: ZValue,
     for k, state in enumerate(states):
         memo = _spin_memo(state, floor)
         _write_slice(state, memo, z, ws.slices[k], ws.term[0])
-        slices.append(SigmaSlice(z, state.t, state.n, *ws.slices[k], memo))
+        slices.append(SigmaSlice(z, state.t, state.n, *ws.slices[k], memo, ws))
     return slices
 
 
@@ -241,35 +242,31 @@ def build_sigma(source: Trajectory | Sequence[GridState], z: ZValue,
 
 
 @lru_cache(maxsize=None)
-def _dst_entries(skip_dt_slots: bool) -> list[list]:
-    """The 6-d Clifford entries on even forms as one list per output component, each
-    in table order (``clifford_by_dst``); without the d/dt and dt slots if
-    ``skip_dt_slots``."""
-    by_dst = form_tables(DIM6).clifford_by_dst[0]
-    if skip_dt_slots:
-        by_dst = [[e for e in entries if e[0] not in _DT_SECTION] for entries in by_dst]
-    return by_dst
+def _v_entries() -> list[list]:
+    """The 6-d Clifford entries on even forms (``clifford_by_dst``: one list per
+    output component, in table order) without the d/dt and dt slots."""
+    return [[e for e in entries if e[0] not in _DT_SECTION]
+            for entries in form_tables(DIM6).clifford_by_dst[0]]
 
 
-def annihilator_check(s: SigmaSlice, ws: ZWorkspace | None = None) -> tuple[float, float]:
+def annihilator_check(s: SigmaSlice) -> tuple[float, float]:
     """Max-abs of v(z).sigma(z) and w(z).sigma(z) over all nodes, v(z) on half 0 of
     ``_halves`` and w(z) on half 1.  Half i builds its action one output component at
-    a time into ``ws.out[2i]``, with ``ws.out[2i + 1]`` as the term (a fresh
-    workspace's if None), and reduces each component to its max|.| at once.
+    a time into ``s.ws.out[2i]``, with ``s.ws.out[2i + 1]`` as the term, and reduces
+    each component to its max|.| at once.
 
     v(z) vanishes on the d/dt and dt slots, so their terms are left out, and w(z)
     holds the constants of d/dt - 2dt there, applied as scalars: an output can
     differ only in the sign of an exact zero, which max|.| ignores.
     """
     ft6 = form_tables(DIM6)
-    ws = ZWorkspace(s.sigma.shape[1:]) if ws is None else ws
     w = list(s.w_z)
     for slot, value in _DT_SECTION.items():
         w[slot] = value
-    sections, entries = (s.v_z, w), (_dst_entries(True), _dst_entries(False))
+    sections, entries = (s.v_z, w), (_v_entries(), ft6.clifford_by_dst[0])
 
     def half(i: int) -> float:
-        buf, term = ws.out[2 * i: 2 * i + 2]
+        buf, term = s.ws.out[2 * i: 2 * i + 2]
         # np.max, not max: a NaN component propagates as in one max over all of them
         return float(np.max([_max_abs(ft6.clifford_apply(sections[i], s.sigma, 0, (buf,),
                                                          term, dst)[0])
@@ -338,21 +335,6 @@ def _triple_signature(triple: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tupl
 # -- slice-sequence checks ---------------------------------------------------------
 
 
-def _central_slices(slices: Sequence[SigmaSlice]
-                    ) -> tuple[SigmaSlice, SigmaSlice, SigmaSlice, float]:
-    """The last three slices and their time step dt; ValueError unless they
-    advance uniformly in time with dt > 0, as central differences need."""
-    if len(slices) < 3:
-        raise ValueError("need at least 3 slices for the time derivative")
-    prev, mid, nxt = slices[-3:]
-    dt = mid.t - prev.t
-    if dt <= 0:
-        raise ValueError(f"time derivatives need slices with dt > 0, got dt = {dt:g}")
-    if not np.isclose(nxt.t - mid.t, dt):
-        raise ValueError("slices are not uniformly spaced in time")
-    return prev, mid, nxt, dt
-
-
 def _spacetime_gradient(slices: Sequence[np.ndarray], n: int, dt: float, method: str,
                         out: np.ndarray) -> np.ndarray:
     """(d/dt, d/dx_1..d/dx_5) of the middle slice into ``out``, d/dt by central
@@ -399,7 +381,6 @@ class EzReport:
     vw_max: float
     ww_max: float
     uu_minus_two_max: float
-    dt_section_norm_plus_two: float
     bracket_residual: float
     lambda_max: float
 
@@ -407,10 +388,6 @@ class EzReport:
     def isotropy_residual(self) -> float:
         """The largest of |(v,v)|, |(v,w)|, |(w,w)| and |(u,u) - 2| over the nodes."""
         return max(self.vv_max, self.vw_max, self.ww_max, self.uu_minus_two_max)
-
-    @property
-    def isotropic(self) -> bool:
-        return self.isotropy_residual < 1e-10
 
 
 def _lambda5(memo: SpinMemo, n: int, method: str) -> np.ndarray:
@@ -425,21 +402,19 @@ def _lambda5(memo: SpinMemo, n: int, method: str) -> np.ndarray:
     return lam5
 
 
-def ez_check(slices: Sequence[SigmaSlice], method: str = "spectral",
-             ws: ZWorkspace | None = None) -> EzReport:
+def ez_check(slices: Sequence[SigmaSlice], method: str = "spectral") -> EzReport:
     """Inner products among {v(z), w(z)} and the [w(z), v(z)] = lambda v(z) residual,
-    built in ``ws`` (a fresh workspace if None).
+    built in the slices' workspace.
 
     v(z) and u(z) = d/dt - 2dt - w(z) vanish on the d/dt and dt slots, so their
     inner products sum the five spatial pairs only (the dropped pairs are exact
-    zeros); (d/dt - 2dt, d/dt - 2dt) is constant and read at one node.
+    zeros).
     """
-    prev, mid, nxt, dt = _central_slices(slices)
+    prev, mid, nxt, dt = central_window(slices)
 
     # first, so that the kept array is not allocated amid this call's temporaries
     lam5 = _lambda5(mid.spin, mid.n, method)
-    ws = ZWorkspace(mid.v_z.shape[1:]) if ws is None else ws
-    out, term = ws.out, ws.term
+    out, term = mid.ws.out, mid.ws.term
     v, w = _spatial(mid.v_z), _spatial(mid.w_z)
     vv = _max_abs(section_inner(v, v, DIM, out[0], term))
     vw = _max_abs(section_inner(v, w, DIM, out[0], term))
@@ -448,7 +423,7 @@ def ez_check(slices: Sequence[SigmaSlice], method: str = "spectral",
     uu = section_inner(w, w, DIM, out[0], term)
     uu_minus_two = _max_abs(np.subtract(uu, 2.0, out=uu))
     residual = courant_bracket_6d([s.w_z for s in (prev, mid, nxt)],
-                                  [s.v_z for s in (prev, mid, nxt)], mid.n, dt, method, ws)
+                                  [s.v_z for s in (prev, mid, nxt)], mid.n, dt, method, mid.ws)
     residual -= np.multiply(mid.v_z, lam5, out=out[2 * DIM6:4 * DIM6])
     return EzReport(
         z=mid.z,
@@ -457,25 +432,22 @@ def ez_check(slices: Sequence[SigmaSlice], method: str = "spectral",
         vw_max=vw,
         ww_max=ww,
         uu_minus_two_max=uu_minus_two,
-        dt_section_norm_plus_two=abs(_dt_section_norm() + 2.0),
         bracket_residual=grid_norm(residual, lattice_cell_volume(mid.n), out=residual),
         lambda_max=_max_abs(lam5),
     )
 
 
-def dsigma_residual(slices: Sequence[SigmaSlice], method: str = "spectral",
-                    ws: ZWorkspace | None = None) -> float:
+def dsigma_residual(slices: Sequence[SigmaSlice], method: str = "spectral") -> float:
     """|d sigma| at the middle slice: spatial d plus central time differences, built
-    in ``ws.out`` (a fresh workspace's if None).
+    in the slices' workspace.
 
     d sigma = d5 rho(z) + dt ^ (d rho(z)/dt - d5 rho_hat(z)); closedness of
     the flow data makes this O(dt^2) plus spatial truncation.  rho(z) and
     rho_hat(z) are read in place from their components of sigma.
     """
-    prev, mid, nxt, dt = _central_slices(slices)
+    prev, mid, nxt, dt = central_window(slices)
     maps = _index_maps()
-    ws = ZWorkspace(mid.sigma.shape[1:]) if ws is None else ws
-    out, term = ws.out, ws.term[0]
+    out, term = mid.ws.out, mid.ws.term[0]
     rho_at, hat_at = maps["even5_even6"], maps["odd5_dt_even6"]
     dt_part = [out[k] for k in maps["even5_dt_odd6"]]
     grid_d([mid.sigma[k] for k in rho_at], 0, mid.n, method,
@@ -519,27 +491,26 @@ def check_trajectory(source: Trajectory | Sequence[GridState],
     nullity: dict[str, int] = {}
     ez: dict[str, EzReport] = {}
     dsig: dict[str, float] = {}
-    signature = None
-    if z_values:
-        # the z-independent fields first, so that the workspace, allocated once,
-        # can reuse the pages of their temporaries
-        memos = [_spin_memo(state, floor) for state in states]
-        if memos[0].signature is None:
-            memos[0].signature = _triple_signature(memos[0].triple)
-        signature = memos[0].signature
-        if len(states) >= 3:
-            _lambda5(memos[-2], states[-2].n, method)
-        ws = _workspace(states, floor)
+    # the z-independent fields first, so that the workspace, allocated once, can
+    # reuse the pages of their temporaries
+    memos = [_spin_memo(state, floor) for state in states]
+    memo = memos[0]
+    if memo.signature is None:
+        memo.signature = _triple_signature(memo.triple)
+    if len(states) >= 3:
+        _lambda5(memos[-2], states[-2].n, method)
+    if memo.workspace is None or len(memo.workspace.slices) < len(states):
+        memo.workspace = ZWorkspace(states[0].rho1.shape[1:], len(states))
     for z in z_values:
         key = str(z)
-        slices = build_sigma(states, z, floor, ws)
-        checks = [annihilator_check(s, ws) for s in slices]
+        slices = build_sigma(states, z, floor, memo.workspace)
+        checks = [annihilator_check(s) for s in slices]
         ann_v[key] = max(c[0] for c in checks)
         ann_w[key] = max(c[1] for c in checks)
         nullity[key] = annihilator_nullity(slices[0])
         if len(slices) >= 3:
-            ez[key] = ez_check(slices, method, ws)
-            dsig[key] = dsigma_residual(slices, method, ws)
+            ez[key] = ez_check(slices, method)
+            dsig[key] = dsigma_residual(slices, method)
     return SixdimReport(
         z_values=[str(z) for z in z_values],
         annihilator_v=ann_v,
@@ -547,5 +518,5 @@ def check_trajectory(source: Trajectory | Sequence[GridState],
         nullity=nullity,
         ez=ez,
         dsigma=dsig,
-        signature=signature or (0, 0, 0),
+        signature=memo.signature,
     )

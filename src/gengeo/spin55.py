@@ -479,12 +479,8 @@ def vector_from_four_form(phi4: MixedForm) -> VectorField:
     return VectorField(chart, comps)
 
 
-def decompose(rho_a: MixedForm, phi: MixedForm | None = None) -> Decomposition:
-    """Read (c, omega, Y) off an even form and tie them to Q(rho_A) exactly.
-
-    With phi (an exact polynomial 5-form) the densitized Y is divided out
-    to the true vector field when the division is exact.
-    """
+def decompose(rho_a: MixedForm) -> Decomposition:
+    """Read (c, omega, Y) off an even form and tie them to Q(rho_A) exactly."""
     _require_even(rho_a, "rho_A")
     _require_dim5(rho_a.chart)
     chart = rho_a.chart
@@ -502,16 +498,6 @@ def decompose(rho_a: MixedForm, phi: MixedForm | None = None) -> Decomposition:
     rhs = wedge(omega2, omega2).scale(-2) + interior_product(y_dens, vol).scale(c * 4)
     if lhs != rhs:
         raise RuntimeError("internal error: i_X phi != -2 omega^2 + 4c i_Y phi")
-
-    if phi is not None:
-        if not phi.is_homogeneous(DIM):
-            raise ValueError("phi must be a 5-form")
-        p = phi.coefficient(tuple(range(DIM)))
-        if p.is_zero:
-            raise ValueError("degenerate phi")
-        divided = [comp.exact_divide(p) for comp in y_dens.components]
-        if all(d is not None for d in divided):
-            y_dens = VectorField(chart, divided)
     return Decomposition(c=c, omega2=omega2, y_dens=y_dens, x_dens=x_dens, xi_dens=xi_dens)
 
 

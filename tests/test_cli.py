@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import gengeo
 from gengeo import io as gio
-from gengeo.algebra import Chart, random_polynomial
+from gengeo.algebra import Chart, Polynomial, random_polynomial
 from gengeo.cli import Report, _exact_check, main
-from gengeo.forms import VectorField, random_mixed_form
+from gengeo.forms import MixedForm, VectorField, random_mixed_form
 from gengeo.generalized import GenSection
 from gengeo.spin55 import DEFAULT_PROBE_POINTS, normal_form, quartic_invariant
 
@@ -310,6 +310,20 @@ def test_exact_check_reads_every_vector_component():
     assert (report.checks[0].residual, report.checks[0].passed) == (1.5, False)
 
 
+def test_exact_check_fails_with_the_largest_coefficient_of_any_residual():
+    # no exact check had failed with a form residual: the MixedForm branch of
+    # _max_abs_coeff never ran
+    chart = Chart(3)
+    poly = Polynomial.monomial(chart, (1, 0, 2), Fraction(-5, 2))
+    form = MixedForm(chart, {(0, 1): Polynomial.monomial(chart, (0, 1, 0), 7), (2,): 1})
+    section = GenSection.from_oneform(MixedForm(chart, {(1,): Fraction(-4)}))
+    for residuals, worst in (([poly], 2.5), ([form], 7.0), ([section], 4.0),
+                             ([poly, form, section], 7.0)):
+        report = Report("r", {})
+        _exact_check(report, "c", "a", [Polynomial.zero(chart), *residuals])
+        assert (report.checks[0].residual, report.checks[0].passed) == (worst, False)
+
+
 def test_non_object_flow_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "list.json"
     cfg.write_text("[1]")
@@ -391,12 +405,85 @@ def test_zero_dt_with_nahm_exit_2(tmp_path, capsys):
 
 def test_sixdim_check_zero_dt_trajectory_names_dt(tmp_path, capsys):
     # the slices of a dt = 0 run are uniformly spaced (all at t = 0), so the old
-    # "not uniformly spaced" message was false: the time derivatives need dt > 0
+    # "not uniformly spaced" message was false: the time derivatives need dt != 0
     traj = _flow_trajectory(tmp_path, dt=0)
     assert run_cli(["sixdim", "check", "--trajectory", str(traj)]) == 2
     err = capsys.readouterr().err
-    assert "time derivatives need slices with dt > 0, got dt = 0" in err
+    assert "central time differences need dt != 0" in err
     assert "uniformly spaced" not in err
+
+
+def test_sixdim_check_passes_a_nahm_run_with_negative_dt(tmp_path):
+    # the nahm residual took dt < 0, but sixdim check refused the same trajectory
+    residuals = []
+    for dt in (0.01, -0.01):
+        run = tmp_path / str(dt)
+        run.mkdir()
+        traj = _flow_trajectory(run, dt=dt, steps=6, diagnostics=["nahm"])
+        out = run / "six.json"
+        assert run_cli(["sixdim", "check", "--trajectory", str(traj), "--out", str(out)]) == 0
+        report = read(out)
+        residuals.append([sorted(report[key].values()) for key in ("bracket_residuals", "dsigma")])
+    forward, backward = residuals
+    for a, b in zip(forward, backward):
+        assert b == pytest.approx(a, rel=1e-8)
+
+
+@pytest.mark.parametrize("z, message", [
+    (",", "names no z"), (" ", "names no z"), ("", "names no z"),
+    ("1,1", "names z = 1 twice"), ("1,2/2", "names z = 1 twice"),
+    ("inf,oo", "names z = inf twice"),
+])
+def test_sixdim_check_z_list_without_a_z_or_with_a_repeat_exit_2(tmp_path, capsys, z, message):
+    # "," and " " ran no z and failed gram-signature with "(0, 0, 0)", "" ran the
+    # default sweep, and a repeated z wrote each of its check ids twice
+    traj = _flow_trajectory(tmp_path)
+    out = tmp_path / "six.json"
+    assert run_cli(["sixdim", "check", "--trajectory", str(traj), "--z", z,
+                    "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b'{"n": 4}', b"", b"PK\x03\x04 truncated"])
+def test_sixdim_check_non_npz_trajectory_exit_2(tmp_path, capsys, content):
+    # numpy's "This file contains pickled (object) data" for a JSON file, and an
+    # EOFError or BadZipFile traceback for an empty file or a truncated archive
+    path = tmp_path / "traj.npz"
+    path.write_bytes(content)
+    assert run_cli(["sixdim", "check", "--trajectory", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: not a trajectory written by `flow run`" in err
+    assert "pickled" not in err
+
+
+def test_outputs_in_a_missing_directory_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+    # a FileNotFoundError traceback, for flow run after the whole flow
+    from gengeo import cli
+
+    monkeypatch.setattr(cli, "flow_run_report", lambda *args: pytest.fail("the flow ran"))
+    monkeypatch.setattr(cli, "identities_suite", lambda *args: pytest.fail("the suite ran"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4, "steps": 1}))
+    (tmp_path / "file").write_text("")
+    for path in (tmp_path / "missing" / "x", tmp_path / "file" / "x"):
+        for option in ("--out", "--trajectory", "--csv"):
+            assert run_cli(["flow", "run", "--config", str(cfg), option, str(path)]) == 2
+            assert f"input error: {path}: no such directory" in capsys.readouterr().err
+        assert run_cli(["verify", "identities", "--out", str(path)]) == 2
+        assert f"input error: {path}: no such directory" in capsys.readouterr().err
+
+
+def test_an_output_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert run_cli(["verify", "identities", "--cases", "1", "--out", str(tmp_path)]) == 2
+    assert f"input error: {tmp_path}: is a directory" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4, "steps": 1}))
+    out = tmp_path / "r.json"
+    assert run_cli(["flow", "run", "--config", str(cfg), "--out", str(out),
+                    "--csv", str(tmp_path)]) == 2
+    assert f"input error: {tmp_path}: is a directory" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("z", ["1/0", "1e400", "1e-400", "1e-310"])

@@ -247,7 +247,8 @@ def test_a_fault_in_either_half_is_raised_after_both_halves_stop(monkeypatch, ba
     start = perturbed(0.02, "spectral")
     with pytest.raises(FloatingPointError, match=f"half {bad}"):
         flow_step(start, ws=ws)
-    assert finished == [1 - bad]
+    # inline on one CPU, half 1 never starts once half 0 has raised
+    assert finished == ([1 - bad] if flow._cpus() >= 2 or bad else [])
     before = [b.copy() for b in _buffers(ws)]
     time.sleep(0.1)
     assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(before, _buffers(ws)))

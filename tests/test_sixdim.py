@@ -56,9 +56,9 @@ def test_isotropy_and_u_norm():
     traj = perturbed_traj()
     slices = build_sigma(traj, Fraction(1, 2))
     ez = ez_check(slices)
-    assert ez.isotropic
+    assert ez.isotropy_residual < 1e-10
     assert ez.uu_minus_two_max < 1e-10
-    assert ez.dt_section_norm_plus_two < 1e-12
+    assert sixdim._dt_section_norm() == -2.0
 
 
 def test_bracket_residual_stationary_zero():
@@ -114,7 +114,14 @@ def test_check_trajectory_report():
     assert rep.signature == (2, 2, 0)
     assert max(list(rep.annihilator_v.values()) + list(rep.annihilator_w.values())) < 1e-10
     assert all(nullity >= 2 for nullity in rep.nullity.values())
-    assert all(ez.isotropic for ez in rep.ez.values())
+    assert all(ez.isotropy_residual < 1e-10 for ez in rep.ez.values())
+
+
+def test_an_empty_z_list_reports_the_real_signature():
+    # the signature was the placeholder (0, 0, 0) when no z was given
+    rep = check_trajectory(perturbed_traj(), [])
+    assert rep.signature == (2, 2, 0)
+    assert rep.z_values == [] and not rep.ez
 
 
 def test_courant_bracket_6d_time_term():

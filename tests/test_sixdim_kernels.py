@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from gengeo import sixdim
-from gengeo.flow import (FlowConfig, bracket_from_derivatives, courant_bracket_grid, gradient,
-                         grid_d, grid_norm, lambda_field, lattice_cell_volume, run_flow,
-                         section_pairing)
+from gengeo.flow import (FlowConfig, bracket_from_derivatives, central_window,
+                         courant_bracket_grid, gradient, grid_d, grid_norm, lambda_field,
+                         lattice_cell_volume, run_flow, section_pairing)
 from gengeo.sixdim import (DEFAULT_Z_SWEEP, DIM, DIM6, EzReport, SigmaSlice, SixdimReport,
                            ZWorkspace, annihilator_check, annihilator_nullity, build_sigma,
                            check_trajectory, dsigma_residual, ez_check)
@@ -77,7 +77,7 @@ def ref_build_sigma(states, z, floor=1e-6):
             u_z = (1.0 / zf) * v1 - zf * v2
         w_z = ref_add_dt_section(-ref_section_to_6d(u_z))
         slices.append(SigmaSlice(z=z, t=state.t, n=state.n, sigma=ref_assemble_sigma(rho_z, hat_z),
-                                 v_z=ref_section_to_6d(v_z), w_z=w_z, spin=memo))
+                                 v_z=ref_section_to_6d(v_z), w_z=w_z, spin=memo, ws=None))
     return slices
 
 
@@ -124,7 +124,7 @@ def ref_courant_bracket_6d(u_slices, v_slices, n, dt, method):
 
 
 def ref_ez_check(slices, method):
-    prev, mid, nxt, dt = sixdim._central_slices(slices)
+    prev, mid, nxt, dt = central_window(slices)
     v1m, hm, v2m = mid.triple
     lam5 = lambda_field(hm, courant_bracket_grid(v1m, v2m, mid.n, method))
     vv = section_inner(mid.v_z, mid.v_z, DIM6)
@@ -132,8 +132,6 @@ def ref_ez_check(slices, method):
     ww = section_inner(mid.w_z, mid.w_z, DIM6)
     u_mid = ref_add_dt_section(-mid.w_z)
     uu = section_inner(u_mid, u_mid, DIM6)
-    dt_sec = ref_add_dt_section(np.zeros_like(mid.w_z))
-    dtdt = section_inner(dt_sec, dt_sec, DIM6)
     bracket = ref_courant_bracket_6d([s.w_z for s in (prev, mid, nxt)],
                                      [s.v_z for s in (prev, mid, nxt)], mid.n, dt, method)
     residual = bracket - lam5 * mid.v_z
@@ -143,14 +141,13 @@ def ref_ez_check(slices, method):
         vw_max=float(np.max(np.abs(vw))),
         ww_max=float(np.max(np.abs(ww))),
         uu_minus_two_max=float(np.max(np.abs(uu - 2.0))),
-        dt_section_norm_plus_two=float(np.max(np.abs(dtdt + 2.0))),
         bracket_residual=grid_norm(residual, lattice_cell_volume(mid.n)),
         lambda_max=float(np.max(np.abs(lam5))),
     )
 
 
 def ref_dsigma_residual(slices, method):
-    prev, mid, nxt, dt = sixdim._central_slices(slices)
+    prev, mid, nxt, dt = central_window(slices)
     maps = sixdim._index_maps()
     rho = [ref_rho_z(s) for s in (prev, mid, nxt)]
     spatial = grid_d(rho[1], 0, mid.n, method)
@@ -235,12 +232,16 @@ def test_reused_workspace_equals_fresh_buffers():
     for z in reversed(DEFAULT_Z_SWEEP):                 # reuse in another z order
         key = str(z)
         fresh = build_sigma(states, z)                  # no workspace: fresh buffers
-        assert [annihilator_check(s) for s in fresh] == [annihilator_check(s, ws)
-                                                         for s in build_sigma(states, z, ws=ws)]
+        assert fresh[0].ws is not ws
         assert full.nullity[key] == annihilator_nullity(fresh[0])
-        assert full.ez[key] == ez_check(fresh) == ez_check(fresh, ws=ws)
-        assert full.dsigma[key] == dsigma_residual(fresh) == dsigma_residual(fresh, ws=ws)
+        assert full.ez[key] == ez_check(fresh)
+        assert full.dsigma[key] == dsigma_residual(fresh)
         assert full.annihilator_v[key] == max(annihilator_check(s)[0] for s in fresh)
+        reused = build_sigma(states, z, ws=ws)
+        assert all(s.ws is ws for s in reused)
+        assert [annihilator_check(s) for s in fresh] == [annihilator_check(s) for s in reused]
+        assert full.ez[key] == ez_check(reused)
+        assert full.dsigma[key] == dsigma_residual(reused)
     assert states[0].spin.workspace is ws
     assert check_trajectory(traj) == full
     # the fd4 checks run in the same workspace and still match a fresh run
@@ -273,12 +274,12 @@ def test_corrupted_workspace_slice_detected():
     states = traj.states()
     ws = ZWorkspace(states[0].rho1.shape[1:], len(states))
     s = build_sigma(states, Fraction(1), ws=ws)[0]
-    assert max(annihilator_check(s, ws)) < 1e-10
+    assert max(annihilator_check(s)) < 1e-10
     s.w_z[3] += 0.1                                     # a spatial slot of w(z)
-    assert annihilator_check(s, ws)[1] > 1e-3
+    assert annihilator_check(s)[1] > 1e-3
     s = build_sigma(states, Fraction(1), ws=ws)[0]      # the next build rewrites it
     s.sigma[0] += 0.1
-    assert max(annihilator_check(s, ws)) > 1e-3
+    assert max(annihilator_check(s)) > 1e-3
 
 
 def test_nullity_rows_come_from_one_entry_per_slot_and_component():
@@ -287,11 +288,11 @@ def test_nullity_rows_come_from_one_entry_per_slot_and_component():
     assert np.bincount(slot).tolist() == [16] * (2 * DIM6)
     # the v(z) entries skip the d/dt and dt slots and keep each component's term order
     n_odd = form_tables(DIM6).n_odd
-    entries = [e for per_dst in sixdim._dst_entries(True) for e in per_dst]
+    entries = [e for per_dst in sixdim._v_entries() for e in per_dst]
     assert len(entries) == 160 and not {e[0] for e in entries} & {0, DIM6}
-    table = form_tables(DIM6).clifford[0]
-    assert len(sixdim._dst_entries(True)) == len(sixdim._dst_entries(False)) == n_odd
+    ft6 = form_tables(DIM6)
+    assert len(sixdim._v_entries()) == len(ft6.clifford_by_dst[0]) == n_odd
     for k in range(n_odd):
-        want = [(slot, src, 0, sign) for slot, src, dst, sign in table if dst == k]
-        assert sixdim._dst_entries(False)[k] == want
-        assert sixdim._dst_entries(True)[k] == [e for e in want if e[0] not in (0, DIM6)]
+        want = [(slot, src, 0, sign) for slot, src, dst, sign in ft6.clifford[0] if dst == k]
+        assert ft6.clifford_by_dst[0][k] == want
+        assert sixdim._v_entries()[k] == [e for e in want if e[0] not in (0, DIM6)]
