@@ -519,11 +519,13 @@ def sixdim_report(trajectory_path: str, z_text: str | None) -> Report:
 # -- argument parsing ------------------------------------------------------------------
 
 
-def _count(text: str) -> int:
-    """An argparse type: an integer >= 1 (a count of 0 would test nothing)."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _at_least(least: int):
+    """An argparse type: an integer >= least (1 for a count: 0 would test nothing)."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,24 +540,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     vi = vsub.add_parser("identities", help="Courant/Clifford/B-field identities")
     vi.add_argument("--dim", type=int, default=3)
-    vi.add_argument("--cases", type=_count, default=100)
+    vi.add_argument("--cases", type=_at_least(1), default=100)
     vi.add_argument("--seed", type=int, default=0)
-    vi.add_argument("--max-degree", type=int, default=2)
+    vi.add_argument("--max-degree", type=_at_least(0), default=2)
     vi.add_argument("--out")
 
     vs = vsub.add_parser("skew-torsion", help="generalized-metric connection checks")
     vs.add_argument("--input", help="GeneralizedMetric JSON file")
     vs.add_argument("--points", help="points JSON file")
     vs.add_argument("--dim", type=int, default=3)
-    vs.add_argument("--metrics", type=_count, default=10)
-    vs.add_argument("--sample-points", type=_count, default=20)
+    vs.add_argument("--metrics", type=_at_least(1), default=10)
+    vs.add_argument("--sample-points", type=_at_least(1), default=20)
     vs.add_argument("--seed", type=int, default=0)
     vs.add_argument("--out")
 
     vt = vsub.add_parser("twisted", help="cocycle, gluing and twisted differential")
     vt.add_argument("--input", help="CoverData JSON file")
     vt.add_argument("--dim", type=int, default=4)
-    vt.add_argument("--cases", type=_count, default=50)
+    vt.add_argument("--cases", type=_at_least(1), default=50)
     vt.add_argument("--seed", type=int, default=0)
     vt.add_argument("--out")
 
@@ -572,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     fr = fsub.add_parser("run", help="integrate d rho/dt = d rho_hat")
     fr.add_argument("--config", required=True, help="FlowConfig JSON file")
     fr.add_argument("--out")
-    fr.add_argument("--trajectory", help="write the state ring to this .npz")
+    fr.add_argument("--trajectory", help="write the state ring, an npz file, to exactly this path")
     fr.add_argument("--csv", help="write per-step diagnostics to this CSV")
 
     six = sub.add_parser("sixdim", help="six-dimensional structure checks")
@@ -591,8 +593,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         outputs = [args.out] + ([args.trajectory, args.csv] if args.command == "flow" else [])
         for path in filter(None, outputs):
-            with gio.writing(path):     # a missing directory exits 2 before any work
+            with gio.writing(path):     # a missing directory or a directory exits 2 before any work
                 os.scandir(os.path.dirname(path) or ".").close()
+                if os.path.isdir(path):
+                    raise IsADirectoryError(path)
         if args.command == "verify" and args.suite == "identities":
             return emit(identities_suite(args.dim, args.cases, args.seed, args.max_degree),
                         args.out)
@@ -602,6 +606,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return emit(skew_torsion_suite(args.dim, args.metrics, args.sample_points,
                                            args.seed), args.out)
         if args.command == "verify" and args.suite == "twisted":
+            if args.dim < 2 and not args.input:
+                parser.error(f"--dim: the built-in cover needs dim >= 2, got {args.dim}")
             return emit(twisted_suite(args.dim, args.cases, args.seed, args.input), args.out)
         if args.command == "spin55":
             if args.normal_form:

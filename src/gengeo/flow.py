@@ -366,11 +366,6 @@ class PointwiseSpin:
     phi: np.ndarray
     sign: int
 
-    def triple(self, rho1: np.ndarray, rho2: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(v1, h, v2) = s (Q1, P12, Q2) / phi, each of shape (10, grid)."""
-        scale = self.sign / self.phi
-        return self.q1 * scale, q_tables().p_apply(rho1, rho2) * scale, self.q2 * scale
-
 
 class Workspace:
     """The buffers of the pointwise spin and flow kernels on one grid (the node shape
@@ -452,7 +447,7 @@ def rho_hat_grid(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
         other, sign = _v(s, i, (rho1, rho2), ws.v[0])
         hats.append(form_tables(DIM).clifford_apply(ws.v[0], other, 0, None, ws.terms[0]))
         hats[i] *= sign
-    return SpinMemo(floor, *hats, s.triple(rho1, rho2))
+    return SpinMemo(floor, *hats, signed_triple(rho1, rho2, spin=s))
 
 
 class _OnDemand:
@@ -485,12 +480,12 @@ def _slope(spin: PointwiseSpin, i: int, rho: Sequence[np.ndarray], ws: Workspace
 
 def signed_triple(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6, t: float = 0.0,
                   spin: PointwiseSpin | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """(v1, h, v2, phi, s): s-signed normalized triple fields, shape (10, grid), from
-    ``spin``, the state's Q/f at this floor, if given; phi is a copy, as spin.phi may
-    be a workspace buffer."""
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(v1, h, v2) = s (Q1, P12, Q2) / phi, each a new array of shape (10, grid), from
+    ``spin``, the state's Q/f at this floor, if given."""
     spin = _pointwise_spin(rho1, rho2, floor, t) if spin is None else spin
-    return spin.triple(rho1, rho2) + (spin.phi.copy(), spin.sign)
+    scale = spin.sign / spin.phi
+    return spin.q1 * scale, q_tables().p_apply(rho1, rho2) * scale, spin.q2 * scale
 
 
 # -- time stepping -----------------------------------------------------------------
@@ -635,32 +630,38 @@ def initial_state(config: FlowConfig) -> GridState:
 
 @dataclass
 class Trajectory:
+    """A run's config, its per-state diagnostics and its ring of recorded states, the
+    one store of them: ``run_flow`` appends each state as it records it, and a
+    trajectory file holds the ring at exactly the path given."""
+
     config: FlowConfig
     diagnostics: list[dict] = field(default_factory=list)
     ring: deque = field(default_factory=deque)
-    final: GridState | None = None
+
+    @property
+    def final(self) -> GridState:
+        return self.ring[-1]
 
     def states(self) -> list[GridState]:
         return list(self.ring)
 
     def save(self, path: str) -> None:
         states = self.states()
-        np.savez_compressed(
-            path,
-            n=self.config.n,
-            dt=self.config.dt,
-            times=np.array([s.t for s in states]),
-            rho1=np.stack([s.rho1 for s in states]),
-            rho2=np.stack([s.rho2 for s in states]),
-            diagnostics=json.dumps(self.diagnostics),
-            config=json.dumps({**self.config.__dict__,
-                               "diagnostics": list(self.config.diagnostics)}),
-        )
+        with open(path, "wb") as fh:        # numpy adds ".npz" to a name, not to a file
+            np.savez_compressed(
+                fh,
+                times=np.array([s.t for s in states]),
+                rho1=np.stack([s.rho1 for s in states]),
+                rho2=np.stack([s.rho2 for s in states]),
+                diagnostics=json.dumps(self.diagnostics),
+                config=json.dumps({**self.config.__dict__,
+                                   "diagnostics": list(self.config.diagnostics)}),
+            )
 
     @staticmethod
     def load(path: str) -> "Trajectory":
-        """Read a saved ring; raises ValueError if the file is not an npz or its arrays
-        do not fit together."""
+        """Read a saved ring, its grid size and dt from its config; raises ValueError if
+        the file is not an npz or its arrays do not fit that config."""
         with open(path, "rb") as fh:
             if not zipfile.is_zipfile(fh):
                 raise ValueError("not a trajectory written by `flow run` (not an .npz file)")
@@ -668,24 +669,16 @@ class Trajectory:
         with np.load(path, allow_pickle=False) as data:
             config = FlowConfig.from_json_obj(json.loads(str(data["config"])))
             diagnostics = json.loads(str(data["diagnostics"]))
-            n, dt = int(data["n"]), float(data["dt"])
             times, rho1, rho2 = data["times"], data["rho1"], data["rho2"]
-        if n != config.n:
-            raise ValueError(f"trajectory has n={n} but its config has N={config.n}")
         if times.ndim != 1 or len(times) < 1:
             raise ValueError(f"trajectory times must be a non-empty list, got shape {times.shape}")
-        shape = (len(times), N_COEFF) + (n,) * DIM
+        shape = (len(times), N_COEFF) + (config.n,) * DIM
         for name, arr in (("rho1", rho1), ("rho2", rho2)):
             if arr.shape != shape:
                 raise ValueError(f"trajectory {name} has shape {arr.shape}, expected {shape}")
-        steps = np.diff(times)
-        if not np.all(np.isclose(steps, steps[:1])):
-            raise ValueError("trajectory states are not uniformly spaced in time")
-        traj = Trajectory(config=config, diagnostics=diagnostics)
-        for i, t in enumerate(times):
-            traj.ring.append(GridState(n, rho1[i], rho2[i], float(t), dt))
-        traj.final = traj.ring[-1]
-        return traj
+        return Trajectory(config, diagnostics, deque(
+            GridState(config.n, rho1[i], rho2[i], float(t), float(config.dt))
+            for i, t in enumerate(times)))
 
 
 def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = None) -> Trajectory:
@@ -696,12 +689,13 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
     ws = Workspace((config.n,) * DIM)
 
     nahm = "nahm" in config.diagnostics
-    triples: list = []                      # signed triples of the window's states
+    triples: deque = deque(maxlen=3)        # signed triples of the last three states
 
     def record(s: GridState) -> PointwiseSpin:
         # one Q/f evaluation per state feeds V, min|f|, the orbit sign, the nahm
         # triple and the next step's first stage (no diagnostic writes ws's Q/f;
         # closedness writes ws.k, which the next step overwrites before reading)
+        traj.ring.append(s)
         spin = _pointwise_spin(s.rho1, s.rho2, config.stability_floor, s.t, ws)
         entry: dict = {"t": s.t}
         if "hamiltonian" in config.diagnostics:
@@ -715,29 +709,20 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
         traj.diagnostics.append(entry)
         if nahm:
             triples.append(signed_triple(s.rho1, s.rho2, config.stability_floor, s.t, spin))
-        return spin
-
-    def record_nahm() -> None:
-        # the centered residual lives at the middle of the last three states
-        if nahm and len(traj.ring) >= 3:
-            window = list(traj.ring)[-3:]
-            r = nahm_residual(window, config.method, config.stability_floor, triples)
-            del triples[0]
+        if len(triples) == 3:               # the centered residual of the middle state
+            r = nahm_residual(traj.states()[-3:], config.method, config.stability_floor, triples)
             traj.diagnostics[-2].update({
                 "nahm_v1": r.v1_residual, "nahm_h": r.h_residual,
                 "nahm_v2": r.v2_residual, "lambda_max": r.lambda_max,
             })
+        return spin
 
     spin = record(state)
-    traj.ring.append(state)
     for _ in range(config.steps):
         state = flow_step(state, config.method, config.stability_floor, ws, spin)
         spin = record(state)
-        traj.ring.append(state)
-        record_nahm()
         if on_step is not None:
             on_step(state)
-    traj.final = state
     return traj
 
 
@@ -844,8 +829,8 @@ def nahm_residual(states: Sequence[GridState], method: str = "spectral",
 
     if triples is None:
         triples = [signed_triple(s.rho1, s.rho2, floor, s.t) for s in (prev, mid, nxt)]
-    (v1m, hm, v2m, _, _) = triples[1]
-    dot = [(b - a) / (2 * dt) for a, b in zip(triples[0][:3], triples[2][:3])]
+    v1m, hm, v2m = triples[1]
+    dot = [(b - a) / (2 * dt) for a, b in zip(triples[0], triples[2])]
 
     br_hv1 = courant_bracket_grid(hm, v1m, n, method)
     br_v1v2 = courant_bracket_grid(v1m, v2m, n, method)

@@ -171,9 +171,9 @@ def parse_rho_pair(obj, where: str = "rho") -> RhoPair:
     if obj.get("dim", 5) != 5:
         raise InputError(f"{where}: rho pairs live on a 5-chart, got dim {obj['dim']!r}")
     chart = Chart(5)
+    rho1, rho2 = (parse_mixed_form(chart, obj[k], f"{where}.{k}") for k in ("rho1", "rho2"))
     try:
-        return RhoPair(parse_mixed_form(chart, obj["rho1"], f"{where}.rho1"),
-                       parse_mixed_form(chart, obj["rho2"], f"{where}.rho2"))
+        return RhoPair(rho1, rho2)
     except ValueError as e:
         raise InputError(f"{where}: {e}") from None
 

@@ -121,6 +121,23 @@ def test_spin55_analyze_reports_the_orbit_sign_points(tmp_path):
     assert env["sign_points"] == env["points"]
 
 
+def test_spin55_analyze_fails_the_orbit_check_on_mixed_sign_sample_points(tmp_path):
+    # f = -8 at the origin and 24 at (1,2,3,4,5): stable, with no single orbit sign
+    rho = Path(__file__).parent / "data" / "golden" / "rho_mixed_sign.json"
+    f = quartic_invariant(gio.parse_rho_pair(gio.load_json(str(rho))))
+    pts = [[0] * 5, [1, 2, 3, 4, 5]]
+    assert [f.evaluate(p) for p in pts] == [-8, 24]
+    points, out = tmp_path / "points.json", tmp_path / "r.json"
+    points.write_text(json.dumps({"points": pts}))
+    assert run_cli(["spin55", "analyze", str(rho), "--points", str(points),
+                    "--out", str(out)]) == 1
+    report = read(out)
+    assert [(c["id"], c["passed"], c["residual"]) for c in report["checks"]] == [
+        ("stable", True, "0"), ("orbit", False, "sign of f varies across points")]
+    assert report["stable"] and report["orbit_sign"] is None and "triple" not in report
+    assert report["environment"]["points"] == [list(map(str, p)) for p in pts]
+
+
 def test_flow_and_sixdim_cli(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 4, "dt": 0.02, "steps": 4, "epsilon": 0.01}))
@@ -203,14 +220,46 @@ def test_sixdim_check_violated_invariants_exit_1(tmp_path, monkeypatch):
         ("gram-signature", False, "signature varies across nodes")]
 
 
-def test_sixdim_check_malformed_trajectory_exit_2(tmp_path):
+def test_sixdim_check_malformed_trajectory_exit_2(tmp_path, capsys):
     traj = _flow_trajectory(tmp_path)
     with np.load(traj) as data:
         members = {key: data[key] for key in data.files}
-    members["n"] = np.array(5)                 # N=5 over 4^5 arrays
-    bad = tmp_path / "bad.npz"
+    members["config"] = json.dumps({**json.loads(str(members["config"])), "n": 5})
+    bad = tmp_path / "bad.npz"                 # N=5 over 4^5 arrays
     np.savez_compressed(bad, **members)
     assert run_cli(["sixdim", "check", "--trajectory", str(bad)]) == 2
+    assert "rho1 has shape (3, 16, 4, 4, 4, 4, 4), expected (3, 16, 5, 5, 5, 5, 5)" in (
+        capsys.readouterr().err)
+
+
+def test_sixdim_check_non_uniform_last_states_exit_2(tmp_path, capsys):
+    # the trajectory file checks no spacing of its own: central_window refuses it
+    traj = _flow_trajectory(tmp_path)
+    with np.load(traj) as data:
+        members = {key: data[key] for key in data.files}
+    members["times"] = members["times"] * np.array([1.0, 1.0, 1.5])
+    bad = tmp_path / "bad.npz"
+    np.savez_compressed(bad, **members)
+    out = tmp_path / "six.json"
+    assert run_cli(["sixdim", "check", "--trajectory", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: states are not uniformly spaced in time\n"
+    assert not out.exists()
+
+
+def test_trajectory_is_written_at_the_path_given(tmp_path):
+    # numpy's savez added ".npz": the file was noext.npz, the report named noext, and
+    # sixdim check on noext exited 2 ("no such file")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4, "dt": 0.02, "steps": 2, "epsilon": 0.01}))
+    d = tmp_path / "out"
+    d.mkdir()
+    traj, out = d / "noext", tmp_path / "flow.json"
+    assert run_cli(["flow", "run", "--config", str(cfg), "--out", str(out),
+                    "--trajectory", str(traj)]) == 0
+    assert sorted(os.listdir(d)) == ["noext"]
+    assert read(out)["trajectory"] == str(traj)
+    assert run_cli(["sixdim", "check", "--trajectory", str(traj), "--z", "1",
+                    "--out", str(tmp_path / "six.json")]) == 0
 
 
 def test_sixdim_check_unreadable_trajectory_exit_2(tmp_path, capsys):
@@ -268,15 +317,63 @@ TWISTED = ["verify", "twisted", "--cases", "1", "--input"]
     (TWISTED, {"charts": ["a", "b"], "B": [1]}, "cover.B: expected an object"),
     (["spin55", "analyze"], {"rho1": {"terms": 5}, "rho2": {"terms": []}},
      "rho.rho1: expected {'terms': [...]}"),
+    (["verify", "skew-torsion", "--input"], {"C": [[[{"exponents": [0, 0], "coeff": 1}]]]},
+     "metric.C[0][0][0]: 2 exponents for dim 1"),
+    (["spin55", "analyze"], {"rho1": {"terms": [{"coeff": 1}]}, "rho2": {"terms": []}},
+     "rho.rho1.terms[0]: needs 'indices'"),
+    (TWISTED, {"charts": ["a", "b"], "A": {"a": {"terms": []}}},
+     "cover.A: overlap key 'a' is not 'a,b'"),
+    (TWISTED, {"charts": ["a", "a"]}, "cover: duplicate chart labels"),
+    (["spin55", "analyze"], {"dim": 4, "rho1": {"terms": []}, "rho2": {"terms": []}},
+     "rho: rho pairs live on a 5-chart, got dim 4"),
+    (["spin55", "analyze"], {"rho1": {"terms": [{"indices": [1]}]}, "rho2": {"terms": []}},
+     "rho: rho1 must be an even form"),
 ], ids=["metric-C-number", "metric-C-row-numbers", "cover-charts-number",
-        "cover-charts-string", "cover-A-list", "cover-B-list", "rho-terms-number"])
+        "cover-charts-string", "cover-A-list", "cover-B-list", "rho-terms-number",
+        "polynomial-exponent-count", "form-term-without-indices", "cover-A-key",
+        "cover-duplicate-labels", "rho-dim", "rho-odd-form"])
 def test_malformed_input_files_exit_2(tmp_path, capsys, command, obj, message):
-    # each was a TypeError or AttributeError traceback (exit 1); the charts string
-    # ran as two charts named a and b (exit 0)
+    # each of the first six was a TypeError or AttributeError traceback (exit 1); the
+    # charts string ran as two charts named a and b (exit 0); a rho pair's field errors
+    # read "rho: rho.rho1...", prefixed twice
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
     assert run_cli([*command, str(path)]) == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_a_cover_file_with_curvings_runs_as_the_built_in_cover(tmp_path):
+    # A_ab = x1 dx2, B_a = dx1 dx2 and B_b = B_a + dA_ab: the built-in cover at dim 2
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({
+        "dim": 2, "charts": ["a", "b"],
+        "A": {"a,b": {"terms": [{"indices": [2], "coeff": [{"exponents": [1, 0], "coeff": 1}]}]}},
+        "B": {"a": {"terms": [{"indices": [1, 2]}]},
+              "b": {"terms": [{"indices": [1, 2], "coeff": 2}]}}}))
+    reports = []
+    for extra in ([], ["--input", str(cover)]):
+        out = tmp_path / "r.json"
+        assert run_cli(["verify", "twisted", "--dim", "2", "--cases", "10", *extra,
+                        "--out", str(out)]) == 0
+        reports.append(read(out)["checks"])
+    assert reports[0] == reports[1]
+    assert reports[1][-1] == {"id": "globalize-curving", "passed": True, "residual": "0",
+                              "anchor": "e^{B_a} phi_a = e^{B_b} phi_b and (d-H)psi = 0"}
+
+
+def test_repeated_form_indices_are_summed(tmp_path):
+    # the normal form with its dx1 dx2 term of rho1 written as 1/3 + 2/3
+    rho = gio.rho_pair_to_json(normal_form())
+    first = rho["rho1"]["terms"][0]
+    assert first["indices"] == [1, 2]
+    rho["rho1"]["terms"][:1] = [{"indices": [1, 2], "coeff": "1/3"},
+                                {"indices": [1, 2], "coeff": "2/3"}]
+    assert gio.parse_rho_pair(rho).rho1 == normal_form().rho1
+    path, out, ref = tmp_path / "rho.json", tmp_path / "r.json", tmp_path / "ref.json"
+    path.write_text(json.dumps(rho))
+    assert run_cli(["spin55", "analyze", str(path), "--out", str(out)]) == 0
+    assert run_cli(["spin55", "analyze", "--normal-form", "--out", str(ref)]) == 0
+    assert read(out) == read(ref)
 
 
 def test_singular_metric_at_a_given_point_exit_2(tmp_path, capsys):
@@ -299,6 +396,27 @@ def test_counts_below_1_exit_2(capsys, args):
         run_cli(args)
     assert exc.value.code == 2
     assert f"argument {args[2]}: expected an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["verify", "identities", "--max-degree", "-1"],          # empty range for randrange()
+     "argument --max-degree: expected an integer >= 0, got '-1'"),
+    (["verify", "twisted", "--dim", "1"],                     # index tuple (1,) out of range
+     "--dim: the built-in cover needs dim >= 2, got 1"),
+], ids=["max-degree-negative", "twisted-dim-1"])
+def test_usage_errors_name_the_option_and_its_limit(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
+
+
+def test_twisted_dim_1_with_a_cover_file_runs(tmp_path):
+    # only the built-in cover needs dim >= 2
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"dim": 1, "charts": ["a", "b"], "A": {}}))
+    assert run_cli(["verify", "twisted", "--dim", "1", "--cases", "2", "--input", str(cover),
+                    "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_exact_check_reads_every_vector_component():
@@ -474,16 +592,25 @@ def test_outputs_in_a_missing_directory_exit_2_before_any_work(tmp_path, capsys,
         assert f"input error: {path}: no such directory" in capsys.readouterr().err
 
 
-def test_an_output_that_is_a_directory_exits_2(tmp_path, capsys):
+def test_an_output_that_is_a_directory_exits_2(tmp_path, capsys, monkeypatch):
+    # --csv ran the whole flow first; --trajectory wrote DIR.npz beside DIR (exit 0)
+    from gengeo import cli
+
+    monkeypatch.setattr(cli, "flow_run_report", lambda *args: pytest.fail("the flow ran"))
+    monkeypatch.setattr(cli, "identities_suite", lambda *args: pytest.fail("the suite ran"))
     assert run_cli(["verify", "identities", "--cases", "1", "--out", str(tmp_path)]) == 2
     assert f"input error: {tmp_path}: is a directory" in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 4, "steps": 1}))
     out = tmp_path / "r.json"
-    assert run_cli(["flow", "run", "--config", str(cfg), "--out", str(out),
-                    "--csv", str(tmp_path)]) == 2
-    assert f"input error: {tmp_path}: is a directory" in capsys.readouterr().err
-    assert not out.exists()
+    for option in ("--out", "--trajectory", "--csv"):
+        args = ["flow", "run", "--config", str(cfg), option, str(tmp_path)]
+        if option != "--out":
+            args += ["--out", str(out)]
+        assert run_cli(args) == 2, option
+        assert f"input error: {tmp_path}: is a directory" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+    assert not os.path.exists(f"{tmp_path}.npz")
 
 
 @pytest.mark.parametrize("z", ["1/0", "1e400", "1e-400", "1e-310"])

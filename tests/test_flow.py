@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -282,8 +283,8 @@ def test_signed_triple_gram_fields():
 
     cfg = small_cfg()
     s = initial_state(cfg)
-    v1, h, v2, phi, sign = signed_triple(s.rho1, s.rho2)
-    assert sign == -1
+    v1, h, v2 = signed_triple(s.rho1, s.rho2)
+    assert flow._pointwise_spin(s.rho1, s.rho2, 1e-6, s.t).sign == -1
     assert np.max(np.abs(section_inner(v1, v1, 5))) < 1e-12
     assert np.max(np.abs(section_inner(v2, v2, 5))) < 1e-12
     assert np.max(np.abs(section_inner(v1, v2, 5) + 1.0)) < 1e-12
@@ -354,19 +355,23 @@ def test_trajectory_load_validates_shapes_and_times(tmp_path):
         rho1, rho2, times = data["rho1"], data["rho2"], data["times"]
     bad = str(tmp_path / "bad.npz")
     cases = [
-        ({"n": 5}, "n=5"),                              # N=5 over 4^5 arrays
+        ({"config": json.dumps({"N": 5})},                # N=5 over 4^5 arrays
+         r"rho1 has shape \(3, 16, 4, 4, 4, 4, 4\), expected \(3, 16, 5, 5, 5, 5, 5\)"),
         ({"rho2": rho2[:2]}, "rho2 has shape"),
         ({"rho1": rho1[..., :3]}, "rho1 has shape"),
         ({"times": times[:0], "rho1": rho1[:0], "rho2": rho2[:0]}, "non-empty"),
-        ({"times": times * np.array([1.0, 1.0, 1.5])}, "uniformly spaced"),
     ]
     for changes, message in cases:
         _resave(path, bad, **changes)
         with pytest.raises(ValueError, match=message):
             Trajectory.load(bad)
-    back = Trajectory.load(path)
-    assert [s.t for s in back.states()] == list(times)
-    assert all(np.array_equal(a.rho2, b.rho2) for a, b in zip(back.states(), traj.states()))
+    # a file written with the older n and dt members loads as one without them
+    _resave(path, bad, n=np.array(N), dt=np.array(0.02))
+    for back in (Trajectory.load(path), Trajectory.load(bad)):
+        assert [s.t for s in back.states()] == list(times)
+        assert all(a.n == N and a.dt == 0.02 and np.array_equal(a.rho1, b.rho1)
+                   and np.array_equal(a.rho2, b.rho2)
+                   for a, b in zip(back.states(), traj.states()))
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -432,10 +437,13 @@ def test_nahm_diagnostic_adds_no_q_evaluation(monkeypatch):
     assert counts == [50, 50]
 
 
-def test_signed_triple_from_a_workspace_spin_owns_its_phi():
+def test_signed_triple_from_a_workspace_spin_owns_its_arrays():
     s = initial_state(small_cfg(epsilon=0.05))
     ws = flow.Workspace((N,) * 5)
     spin = flow._pointwise_spin(s.rho1, s.rho2, 1e-6, s.t, ws)
+    fresh = flow._pointwise_spin(s.rho1, s.rho2, 1e-6, s.t)
+    assert spin.sign == fresh.sign and np.array_equal(spin.phi, fresh.phi)
     got, want = signed_triple(s.rho1, s.rho2, spin=spin), signed_triple(s.rho1, s.rho2)
-    assert got[4] == want[4] and all(np.array_equal(a, b) for a, b in zip(got[:4], want[:4]))
-    assert not np.shares_memory(got[3], ws.phi)
+    assert len(got) == 3 and all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert not any(np.shares_memory(a, buf) for a in got
+                   for buf in (ws.q1, ws.q2, ws.f, ws.phi, ws.terms, ws.v, ws.hat))

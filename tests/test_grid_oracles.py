@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from gengeo import flow
 from gengeo.algebra import Chart, Polynomial
 from gengeo.flow import courant_bracket_grid, gradient, rho_hat_grid, signed_triple
 from gengeo.forms import MixedForm, VectorField, random_mixed_form
@@ -73,7 +74,9 @@ def test_spin_views_match_exact_rho_hat_and_triple(seed):
     for grid, coeffs in zip((hat.hat1, hat.hat2), exact_hat.coefficients_at(ORIGIN)):
         assert np.allclose(grid, odd_coefficients(coeffs)[:, None], rtol=1e-12, atol=1e-12)
 
-    v1, h, v2, phi, sign = signed_triple(r1, r2, floor=1e-12)
+    v1, h, v2 = signed_triple(r1, r2, floor=1e-12)
+    spin = flow._pointwise_spin(r1, r2, 1e-12, 0.0)
+    phi, sign = spin.phi, spin.sign
     triple = v_triple(rho)
     assert sign == triple.orbit_sign == exact_hat.orbit_sign
     assert all(np.array_equal(a, b) for a, b in zip(hat.triple, (v1, h, v2)))
