@@ -364,8 +364,7 @@ def test_a_cover_file_with_curvings_runs_as_the_built_in_cover(tmp_path):
 def test_repeated_form_indices_are_summed(tmp_path):
     # the normal form with its dx1 dx2 term of rho1 written as 1/3 + 2/3
     rho = gio.rho_pair_to_json(normal_form())
-    first = rho["rho1"]["terms"][0]
-    assert first["indices"] == [1, 2]
+    assert rho["rho1"]["terms"][0]["indices"] == [1, 2]
     rho["rho1"]["terms"][:1] = [{"indices": [1, 2], "coeff": "1/3"},
                                 {"indices": [1, 2], "coeff": "2/3"}]
     assert gio.parse_rho_pair(rho).rho1 == normal_form().rho1
