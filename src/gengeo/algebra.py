@@ -73,21 +73,14 @@ class Polynomial:
 
     def __init__(self, chart: Chart, terms: Mapping[tuple[int, ...], Rational] | None = None):
         clean: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != chart.dim:
-                    raise ValueError(f"exponent tuple {exps} has wrong length for dim {chart.dim}")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                c = as_fraction(coeff)
-                if c:
-                    acc = clean.get(exps)
-                    c = c if acc is None else acc + c
-                    if c:
-                        clean[exps] = c
-                    elif acc is not None:
-                        del clean[exps]
+        for exps, coeff in (terms or {}).items():
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != chart.dim:
+                raise ValueError(f"exponent tuple {exps} has wrong length for dim {chart.dim}")
+            if any(e < 0 for e in exps):
+                raise ValueError(f"negative exponent in {exps}")
+            clean[exps] = clean.get(exps, 0) + as_fraction(coeff)     # equal after int(): summed
+        clean = {e: c for e, c in clean.items() if c}
         # over the lcm of the reduced denominators, the numerators share no factor with den
         den = math.lcm(*(c.denominator for c in clean.values()))
         self.chart = chart
@@ -157,9 +150,7 @@ class Polynomial:
         return None if n is None else Fraction(n, self.den)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.chart, other)
-        elif not isinstance(other, Polynomial):
+        if not isinstance(other, Polynomial):
             return NotImplemented
         return self.chart == other.chart and self.den == other.den and self.nums == other.nums
 
@@ -207,9 +198,6 @@ class Polynomial:
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "Polynomial":
-        return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -330,22 +318,6 @@ class Polynomial:
         for exps, c in sorted(self.terms.items()):
             entries.append({"exponents": list(exps), "coeff": f"{c.numerator}/{c.denominator}"})
         return entries
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for exps, c in sorted(self.terms.items(), reverse=True):
-            mono = "*".join(
-                f"{self.chart.names[i]}^{e}" if e > 1 else self.chart.names[i]
-                for i, e in enumerate(exps)
-                if e
-            )
-            if mono:
-                parts.append(f"{c}*{mono}" if c != 1 else mono)
-            else:
-                parts.append(str(c))
-        return " + ".join(parts)
 
 
 def _fraction_sqrt(f: Fraction) -> Fraction | None:

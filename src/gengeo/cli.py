@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .algebra import Chart, Polynomial, random_polynomial
+from .algebra import MAX_DIM, Chart, Polynomial, random_polynomial
 from .forms import (MixedForm, exterior_derivative, interior_product, mukai_pairing,
                     random_mixed_form)
 from .generalized import (GenSection, bfield_on_form, bfield_on_section, clifford_act,
@@ -519,11 +519,13 @@ def sixdim_report(trajectory_path: str, z_text: str | None) -> Report:
 # -- argument parsing ------------------------------------------------------------------
 
 
-def _at_least(least: int):
-    """An argparse type: an integer >= least (1 for a count: 0 would test nothing)."""
+def _at_least(least: int, most: int | None = None):
+    """An argparse type: an integer >= least (1 for a count: 0 would test nothing),
+    and <= most if given."""
     def parse(text: str) -> int:
-        if not text.isdecimal() or int(text) < least:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        if not text.isdecimal() or int(text) < least or (most is not None and int(text) > most):
+            limit = f">= {least}" if most is None else f"in {least}..{most}"
+            raise argparse.ArgumentTypeError(f"expected an integer {limit}, got {text!r}")
         return int(text)
     return parse
 
@@ -539,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="suite", required=True)
 
     vi = vsub.add_parser("identities", help="Courant/Clifford/B-field identities")
-    vi.add_argument("--dim", type=int, default=3)
+    vi.add_argument("--dim", type=_at_least(1, MAX_DIM), default=3)
     vi.add_argument("--cases", type=_at_least(1), default=100)
     vi.add_argument("--seed", type=int, default=0)
     vi.add_argument("--max-degree", type=_at_least(0), default=2)
@@ -548,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     vs = vsub.add_parser("skew-torsion", help="generalized-metric connection checks")
     vs.add_argument("--input", help="GeneralizedMetric JSON file")
     vs.add_argument("--points", help="points JSON file")
-    vs.add_argument("--dim", type=int, default=3)
+    vs.add_argument("--dim", type=_at_least(1, MAX_DIM), default=3)
     vs.add_argument("--metrics", type=_at_least(1), default=10)
     vs.add_argument("--sample-points", type=_at_least(1), default=20)
     vs.add_argument("--seed", type=int, default=0)
@@ -556,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vt = vsub.add_parser("twisted", help="cocycle, gluing and twisted differential")
     vt.add_argument("--input", help="CoverData JSON file")
-    vt.add_argument("--dim", type=int, default=4)
+    vt.add_argument("--dim", type=_at_least(1, MAX_DIM), default=4)
     vt.add_argument("--cases", type=_at_least(1), default=50)
     vt.add_argument("--seed", type=int, default=0)
     vt.add_argument("--out")
@@ -627,16 +629,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             except ValueError as e:
                 raise gio.InputError(f"{args.config}: {e}") from None
             return emit(flow_run_report(config, args.trajectory, args.csv), args.out)
-        if args.command == "sixdim":
-            return emit(sixdim_report(args.trajectory, args.z), args.out)
+        return emit(sixdim_report(args.trajectory, args.z), args.out)  # args.command == "sixdim"
     except gio.InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:     # CoverError and StabilityError among them
         print(f"error: {e}", file=sys.stderr)
         return 2
-    parser.error("unknown command")
-    return 2
 
 
 # spec-facing name for the entry operation

@@ -109,10 +109,6 @@ class VectorField:
                 out = out + c * f.differentiate(i)
         return out
 
-    def __repr__(self) -> str:
-        parts = [f"({c})@{self.chart.names[i]}" for i, c in enumerate(self.components) if not c.is_zero]
-        return " + ".join(parts) if parts else "0"
-
 
 def _accumulate(out: dict[Index, Polynomial], idx: Index, p: Polynomial) -> None:
     """out[idx] += p, dropping the entry when the sum vanishes."""
@@ -214,16 +210,6 @@ class MixedForm:
             return MixedForm(self.chart)
         # a product of nonzero polynomials is nonzero: no term needs the checks of __init__
         return _form(self.chart, {i: f * p for i, p in self.terms.items()})
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "0"
-        names = self.chart.names
-        parts = []
-        for idx in sorted(self.terms, key=lambda i: (len(i), i)):
-            basis = "^".join(f"d{names[i]}" for i in idx) if idx else "1"
-            parts.append(f"({self.terms[idx]}) {basis}")
-        return " + ".join(parts)
 
 
 # -- operations -------------------------------------------------------------

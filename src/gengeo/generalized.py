@@ -80,9 +80,6 @@ class GenSection:
     def scale(self, f: Polynomial | Rational) -> "GenSection":
         return GenSection(self.vector.scale(f), self.oneform.scale(f))
 
-    def __repr__(self) -> str:
-        return f"{self.vector!r} + {self.oneform!r}"
-
 
 def basis_sections(chart: Chart) -> list[GenSection]:
     return [GenSection.basis(chart, k) for k in range(2 * chart.dim)]

@@ -78,6 +78,8 @@ def parse_polynomial(chart: Chart, obj, where: str = "polynomial") -> Polynomial
         coeff = _fraction(entry["coeff"], f"{where}[{k}].coeff")
         if len(exps) != chart.dim:
             raise InputError(f"{where}[{k}]: {len(exps)} exponents for dim {chart.dim}")
+        if min(exps) < 0:
+            raise InputError(f"{where}[{k}].exponents: negative exponent in {list(exps)}")
         terms[exps] = terms.get(exps, Fraction(0)) + coeff
     return Polynomial(chart, terms)
 

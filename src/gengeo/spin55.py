@@ -530,8 +530,8 @@ def validate_generic_data(gd: GenericData) -> None:
     _require_dim5(chart)
     if not gd.omega2.is_homogeneous(2):
         raise GenericDataError("omega2 is not a pure 2-form")
-    if not gd.phi.is_homogeneous(DIM):
-        raise GenericDataError("phi is not a 5-form")
+    if gd.phi.is_zero or not gd.phi.is_homogeneous(DIM):
+        raise GenericDataError("phi is not a nonzero 5-form")
     if not exterior_derivative(gd.omega2).is_zero:
         raise GenericDataError("omega2 is not closed")
     if not vf_bracket(gd.y1, gd.y2).is_zero:

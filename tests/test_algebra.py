@@ -103,6 +103,26 @@ def test_exact_divide_and_sqrt():
     assert (x1 * x2).sqrt() is None
     assert Polynomial.constant(c, Fraction(9, 4)).sqrt() == Polynomial.constant(c, Fraction(3, 2))
     assert Polynomial.constant(c, 8).sqrt() is None
+    assert (x1 * x1 + x2).sqrt() is None         # the remainder x2 is not divisible by x1
+    assert (-x1 * x1).sqrt() is None             # a negative leading coefficient
+    with pytest.raises(ZeroDivisionError, match="exact_divide by zero polynomial"):
+        x1.exact_divide(Polynomial.zero(c))
+
+
+@pytest.mark.parametrize("exps, message", [
+    ((1, 0), r"exponent tuple \(1, 0\) has wrong length for dim 3"),
+    ((0, -1, 0), r"negative exponent in \(0, -1, 0\)"),
+], ids=["wrong-length", "negative"])
+def test_polynomial_rejects_malformed_exponent_tuples(exps, message):
+    with pytest.raises(ValueError, match=message):
+        Polynomial(chart(), {exps: 1})
+
+
+def test_exponent_tuples_equal_after_int_are_summed():
+    c = chart()
+    x1 = Polynomial.coordinate(c, 0)
+    assert Polynomial(c, {(1, 0, 0): 2, ("1", 0, 0): 1}) == x1 * 3
+    assert Polynomial(c, {(1, 0, 0): 2, ("1", 0, 0): -2}) == Polynomial.zero(c)
 
 
 def test_json_round_trip():

@@ -328,14 +328,29 @@ TWISTED = ["verify", "twisted", "--cases", "1", "--input"]
      "rho: rho pairs live on a 5-chart, got dim 4"),
     (["spin55", "analyze"], {"rho1": {"terms": [{"indices": [1]}]}, "rho2": {"terms": []}},
      "rho: rho1 must be an even form"),
+    (["spin55", "analyze"], {"rho1": {"terms": [{"indices": "12"}]}, "rho2": {"terms": []}},
+     "rho.rho1.terms[0].indices: expected a list of integers"),
+    (["spin55", "analyze"], {"rho1": {"terms": [{"indices": [1, 2], "coeff": [
+        {"exponents": [-1, 0, 0, 0, 0], "coeff": 1}]}]}, "rho2": {"terms": []}},
+     "rho.rho1.terms[0].coeff[0].exponents: negative exponent in [-1, 0, 0, 0, 0]"),
+    (TWISTED, {"charts": ["a", "b"], "B": {"c": {"terms": []}}},
+     "cover: curving given for unknown chart 'c'"),
+    (TWISTED, {"charts": ["a", "b"], "B": {"a": {"terms": [{"indices": [1]}]},
+                                           "b": {"terms": []}}},
+     "cover: B_a must be a 2-form"),
+    (TWISTED, {"charts": ["a", "b"], "B": {"a": {"terms": []}}},
+     "cover: curving missing for charts ['b']"),
 ], ids=["metric-C-number", "metric-C-row-numbers", "cover-charts-number",
         "cover-charts-string", "cover-A-list", "cover-B-list", "rho-terms-number",
         "polynomial-exponent-count", "form-term-without-indices", "cover-A-key",
-        "cover-duplicate-labels", "rho-dim", "rho-odd-form"])
+        "cover-duplicate-labels", "rho-dim", "rho-odd-form", "form-indices-string",
+        "polynomial-negative-exponent",
+        "cover-B-unknown-chart", "cover-B-not-a-2-form", "cover-B-missing-chart"])
 def test_malformed_input_files_exit_2(tmp_path, capsys, command, obj, message):
     # each of the first six was a TypeError or AttributeError traceback (exit 1); the
     # charts string ran as two charts named a and b (exit 0); a rho pair's field errors
-    # read "rho: rho.rho1...", prefixed twice
+    # read "rho: rho.rho1...", prefixed twice; a negative exponent was reported by the
+    # Polynomial constructor, without the input-error prefix or its place in the file
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
     assert run_cli([*command, str(path)]) == 2
@@ -359,6 +374,20 @@ def test_a_cover_file_with_curvings_runs_as_the_built_in_cover(tmp_path):
     assert reports[0] == reports[1]
     assert reports[1][-1] == {"id": "globalize-curving", "passed": True, "residual": "0",
                               "anchor": "e^{B_a} phi_a = e^{B_b} phi_b and (d-H)psi = 0"}
+
+
+def test_a_cover_file_whose_curving_breaks_the_cocycle_fails_exit_1(tmp_path):
+    # B_b - B_a = dx1 dx2 but dA_ab = 0: the sections agree on the overlap and their
+    # e^{B} images do not, so globalization fails as well as the cocycle check
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({
+        "dim": 2, "charts": ["a", "b"], "A": {"a,b": {"terms": []}},
+        "B": {"a": {"terms": []}, "b": {"terms": [{"indices": [1, 2]}]}}}))
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "twisted", "--dim", "2", "--cases", "2", "--input", str(cover),
+                    "--out", str(out)]) == 1
+    assert [c["id"] for c in read(out)["checks"] if not c["passed"]] == [
+        "cocycle", "globalize-curving"]
 
 
 def test_repeated_form_indices_are_summed(tmp_path):
@@ -385,6 +414,48 @@ def test_singular_metric_at_a_given_point_exit_2(tmp_path, capsys):
     assert "input error: points[0] = (0, 0): g is singular there" in capsys.readouterr().err
 
 
+def test_a_metric_file_warns_where_g_is_not_positive_definite(tmp_path):
+    metric, points, out = tmp_path / "m.json", tmp_path / "p.json", tmp_path / "r.json"
+    metric.write_text(json.dumps({"C": [[-1, 0], [0, 1]]}))
+    points.write_text(json.dumps({"points": [[0, 0], ["1/2", 1]]}))
+    assert run_cli(["verify", "skew-torsion", "--input", str(metric), "--points", str(points),
+                    "--out", str(out)]) == 0
+    assert read(out)["warnings"] == ["g not positive definite at ('0', '0')",
+                                     "g not positive definite at ('1/2', '1')"]
+
+
+def _shift_connection(connection_at):
+    def shifted(v, point, deltas):
+        return [[[g + 1 for g in row] for row in plane]
+                for plane in connection_at(v, point, deltas)]
+    return shifted
+
+
+def _shift_first_delta(coordinate_deltas):
+    def shifted(v):
+        deltas = coordinate_deltas(v)
+        deltas[0][0] = deltas[0][0] + MixedForm.basis(v.chart, (0,))
+        return deltas
+    return shifted
+
+
+@pytest.mark.parametrize("name, shift, failed", [
+    ("connection_at", _shift_connection, ["christoffel-oracle"]),
+    ("coordinate_deltas", _shift_first_delta, ["christoffel-oracle", "levi-civita-expansion"]),
+], ids=["connection", "deltas"])
+def test_skew_torsion_oracles_fail_on_a_wrong_connection(tmp_path, monkeypatch, name, shift,
+                                                         failed):
+    # a check that cannot fail proves nothing: a shifted connection or Delta fails the
+    # oracles that read it, with exit 1
+    from gengeo import cli
+
+    monkeypatch.setattr(cli, name, shift(getattr(cli, name)))
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "skew-torsion", "--dim", "2", "--metrics", "1",
+                    "--sample-points", "1", "--out", str(out)]) == 1
+    assert [c["id"] for c in read(out)["checks"] if not c["passed"]] == failed
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "identities", "--cases", "0"], ["verify", "identities", "--cases", "-4"],
     ["verify", "skew-torsion", "--metrics", "0"],
@@ -402,7 +473,16 @@ def test_counts_below_1_exit_2(capsys, args):
      "argument --max-degree: expected an integer >= 0, got '-1'"),
     (["verify", "twisted", "--dim", "1"],                     # index tuple (1,) out of range
      "--dim: the built-in cover needs dim >= 2, got 1"),
-], ids=["max-degree-negative", "twisted-dim-1"])
+    # the next three printed the chart's limit without naming the option
+    (["verify", "identities", "--dim", "0"],
+     "argument --dim: expected an integer in 1..8, got '0'"),
+    (["verify", "skew-torsion", "--dim", "9"],
+     "argument --dim: expected an integer in 1..8, got '9'"),
+    (["verify", "twisted", "--dim", "0", "--input", "cover.json"],
+     "argument --dim: expected an integer in 1..8, got '0'"),
+    (["spin55", "analyze"], "spin55 analyze needs a rho file or --normal-form"),
+], ids=["max-degree-negative", "twisted-dim-1", "identities-dim-0", "skew-torsion-dim-9",
+        "twisted-dim-0-with-a-cover", "spin55-analyze-without-a-pair"])
 def test_usage_errors_name_the_option_and_its_limit(capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         run_cli(args)

@@ -33,6 +33,8 @@ def test_config_validation():
         FlowConfig(method="upwind")
     with pytest.raises(ValueError):
         FlowConfig.from_json_obj({"n": 4, "bogus": 1})
+    with pytest.raises(ValueError, match="unknown derivative method 'x'"):
+        derivative_matrix(8, "x")
 
 
 def test_spectral_gradient_analytic():

@@ -196,6 +196,12 @@ def test_degree_bookkeeping():
         MixedForm(c, {(3,): 1})
 
 
+def test_vector_field_needs_one_component_per_coordinate():
+    c = Chart(3)
+    with pytest.raises(ValueError, match="component count must equal chart.dim"):
+        VectorField(c, [Polynomial.zero(c)] * 2)
+
+
 # -- single-dict accumulation against term-by-term sums ---------------------------------
 
 

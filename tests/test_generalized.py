@@ -301,6 +301,20 @@ def test_basis_sections_layout():
     assert len(secs) == 6
     assert secs[0].vector == VectorField.coordinate(c, 0)
     assert secs[3].oneform == MixedForm.basis(c, (0,))
+    for slot in (-1, 6):
+        with pytest.raises(IndexError, match=f"basis slot {slot} out of range for dim 3"):
+            GenSection.basis(c, slot)
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "vector field", "form", "section"])
+def test_equality_with_another_type_is_not_implemented(kind):
+    # no int or Fraction is coerced: a constant polynomial is not equal to its value
+    c = Chart(3)
+    one = Polynomial.constant(c, 1)
+    value = {"polynomial": one, "vector field": VectorField.coordinate(c, 0),
+             "form": MixedForm.function(c, 1), "section": basis_sections(c)[0]}[kind]
+    assert value.__eq__(1) is NotImplemented
+    assert value != 1 and value == value
 
 
 def test_oneform_purity_enforced():

@@ -181,6 +181,14 @@ def test_definiteness_warning():
     assert report.all_zero  # identities are signature-agnostic
 
 
+def test_splitting_tensor_must_be_square():
+    c = c3()
+    one = Polynomial.constant(c, 1)
+    for rows in ([[one] * 3] * 2, [[one] * 3, [one] * 3, [one] * 2]):
+        with pytest.raises(ValueError, match="C must be an n x n matrix of polynomials"):
+            GeneralizedMetric(c, rows)
+
+
 def test_singular_g_raises():
     c = c3()
     zero = Polynomial.zero(c)

@@ -95,6 +95,19 @@ def test_gram_signature_2_2():
         assert gram_signature(s) == (2, 2, 0)
 
 
+def test_a_signature_that_varies_across_nodes_raises():
+    # node 0 adds the positive direction (v1, v1) = 1 that node 1 lacks
+    triple = np.zeros((3, 10, 2))
+    triple[0, 0, 0] = triple[0, 5, 0] = 1.0        # v1 = d/dx1 + dx1 at node 0 only
+    with pytest.raises(sixdim.SignatureError, match="signature varies across nodes"):
+        sixdim._triple_signature(tuple(triple))
+
+
+def test_check_trajectory_needs_a_state():
+    with pytest.raises(ValueError, match="no states to build sigma from"):
+        check_trajectory([])
+
+
 def test_nullity_exactly_two():
     s = build_sigma(stationary_traj(), Fraction(1))[0]
     assert annihilator_nullity(s) == 2

@@ -1,4 +1,6 @@
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -242,6 +244,20 @@ def test_rho_hat_normal_form():
     assert mukai_pairing(hat.m2, nf.rho1) == Polynomial.constant(c, -8)
 
 
+def test_rho_hat_coefficients_need_a_stable_point():
+    # scaling rho2 by x1 scales f by x1^2: q = 8 x1^2 vanishes at the origin
+    nf = normal_form()
+    hat = rho_hat(RhoPair(nf.rho1, nf.rho2.scale(Polynomial.coordinate(nf.chart, 0))))
+    assert hat.coefficients_at((1, 0, 0, 0, 0))[0]
+    with pytest.raises(StabilityError, match=re.escape("unstable point (0, 0, 0, 0, 0)")):
+        hat.coefficients_at((0, 0, 0, 0, 0))
+
+
+def test_spin55_operations_need_a_5_chart():
+    with pytest.raises(ValueError, match="needs a 5-dimensional chart, got dim 4"):
+        normal_form(Chart(4))
+
+
 def test_rho_hat_annihilation_precondition():
     nf = normal_form()
     broken = RhoPair(nf.rho1 + dx(nf.chart, 1, 2).scale(3), nf.rho2)
@@ -396,6 +412,36 @@ def test_generic_data_validation_errors():
         generic_structure(GenericData(omega_bad, gd.phi, gd.y1, gd.y2))
 
 
+@pytest.mark.parametrize("case, message", [
+    ("omega-not-a-2-form", "omega2 is not a pure 2-form"),
+    ("phi-not-a-5-form", "phi is not a nonzero 5-form"),
+    ("phi-zero", "phi is not a nonzero 5-form"),
+    ("y-bracket", "[Y1, Y2] != 0"),
+    ("phi-not-invariant", "L_Y1 phi != 0"),
+])
+def test_generic_data_errors_name_the_failed_hypothesis(case, message):
+    # a zero phi passed: remark_triple divided by it (ZeroDivisionError) and
+    # generic_structure raised a StabilityError
+    c = c5()
+    gd = flat_generic_data(c)
+    x2 = Polynomial.coordinate(c, 1)
+    gd = {"omega-not-a-2-form": replace(gd, omega2=gd.omega2 + MixedForm.function(c, 1)),
+          "phi-not-a-5-form": replace(gd, phi=dx(c, 1, 2, 3, 4)),
+          "phi-zero": replace(gd, phi=MixedForm.zero(c)),
+          "y-bracket": replace(gd, y2=VectorField.from_components(c, {0: x2})),
+          "phi-not-invariant": replace(gd, phi=MixedForm.volume(c, x2 + 1))}[case]
+    for build in (generic_structure, remark_triple):
+        with pytest.raises(GenericDataError, match=re.escape(message)):
+            build(gd)
+
+
+def test_remark_triple_needs_a_polynomial_x():
+    # i_X phi = -8 omega^2 with phi = (1 + x3) dx1..5 makes X = const / (1 + x3)
+    gd = flat_generic_data(p=Polynomial.coordinate(c5(), 2) + 1)
+    with pytest.raises(GenericDataError, match="no polynomial solution X"):
+        remark_triple(gd)
+
+
 def test_remark_triple_courant_commutes():
     gd = flat_generic_data()
     triple = remark_triple(gd)
@@ -406,6 +452,14 @@ def test_remark_triple_courant_commutes():
 
 
 # -- gradient check --------------------------------------------------------------------
+
+
+def test_volume_gradient_check_skips_a_step_where_f_vanishes():
+    # along rho_dot = rho, f(rho - 1*rho) = f(0) = 0: step 1 gives no difference quotient
+    nf = normal_form()
+    origin = (0, 0, 0, 0, 0)
+    assert volume_gradient_check(nf, nf, origin, steps=(1, 1e-3)) == volume_gradient_check(
+        nf, nf, origin, steps=(1e-3,))
 
 
 def test_volume_gradient_check_normal_form():

@@ -146,6 +146,26 @@ def test_globalize_with_curving():
         globalize_with_curving({"a": phi_a + MixedForm.function(c, 1), "b": phi_b}, cover)
 
 
+def test_globalize_needs_curving_and_a_section_per_chart():
+    c = c4()
+    phi = MixedForm.function(c, 1)
+    with pytest.raises(CoverError, match="globalize_with_curving needs curving data"):
+        globalize_with_curving({"a": phi, "b": phi}, CoverData(c, ["a", "b"], {}))
+    curved = CoverData(c, ["a", "b"], {}, curving={"a": dx(c, 1, 2), "b": dx(c, 1, 2)})
+    with pytest.raises(CoverError, match="missing section on chart 'b'"):
+        globalize_with_curving({"a": phi}, curved)
+
+
+def test_globalize_fails_where_the_curving_breaks_the_cocycle():
+    # B_b - B_a = dx3 dx4 != dA_ab = 0: the sections agree, their e^{B} images do not
+    c = c4()
+    cover = CoverData(c, ["a", "b"], {("a", "b"): MixedForm.zero(c)},
+                      curving={"a": MixedForm.zero(c), "b": dx(c, 3, 4)})
+    phi = MixedForm.function(c, 1)
+    with pytest.raises(CoverError, match="globalization failed: psi_b differs"):
+        globalize_with_curving({"a": phi, "b": phi}, cover)
+
+
 def test_globalize_single_chart_trivial():
     c = c4()
     cover = CoverData(c, ["a"], {}, curving={"a": MixedForm.zero(c)})
