@@ -53,6 +53,16 @@ class Chart:
             raise IndexError(f"coordinate index {i} out of range for dim {self.dim}")
 
 
+def _exponents(chart: Chart, exps: Sequence[int]) -> tuple[int, ...]:
+    """exps as a tuple of chart.dim non-negative ints; bools and numeric strings are not."""
+    exps = tuple(exps)
+    if len(exps) != chart.dim:
+        raise ValueError(f"exponent tuple {exps} has wrong length for dim {chart.dim}")
+    if any(type(e) is not int or e < 0 for e in exps):
+        raise ValueError(f"non-integer or negative exponent in {exps}")
+    return exps
+
+
 def as_fraction(value: Rational) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -72,14 +82,7 @@ class Polynomial:
     __slots__ = ("chart", "nums", "den")
 
     def __init__(self, chart: Chart, terms: Mapping[tuple[int, ...], Rational] | None = None):
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != chart.dim:
-                raise ValueError(f"exponent tuple {exps} has wrong length for dim {chart.dim}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            clean[exps] = clean.get(exps, 0) + as_fraction(coeff)     # equal after int(): summed
+        clean = {_exponents(chart, e): as_fraction(c) for e, c in (terms or {}).items()}
         clean = {e: c for e, c in clean.items() if c}
         # over the lcm of the reduced denominators, the numerators share no factor with den
         den = math.lcm(*(c.denominator for c in clean.values()))
@@ -106,8 +109,13 @@ class Polynomial:
         return Polynomial._make(chart, {}, 1)
 
     @staticmethod
+    def _term(chart: Chart, exps: tuple[int, ...], c: Fraction) -> "Polynomial":
+        """c x^exps for a valid exponent tuple."""
+        return Polynomial._make(chart, {exps: c.numerator} if c else {}, c.denominator)
+
+    @staticmethod
     def constant(chart: Chart, value: Rational) -> "Polynomial":
-        return Polynomial.monomial(chart, (0,) * chart.dim, value)
+        return Polynomial._term(chart, (0,) * chart.dim, as_fraction(value))
 
     @staticmethod
     def coordinate(chart: Chart, i: int) -> "Polynomial":
@@ -118,8 +126,7 @@ class Polynomial:
 
     @staticmethod
     def monomial(chart: Chart, exps: Sequence[int], coeff: Rational = 1) -> "Polynomial":
-        c = as_fraction(coeff)
-        return Polynomial._make(chart, {tuple(exps): c.numerator} if c else {}, c.denominator)
+        return Polynomial._term(chart, _exponents(chart, exps), as_fraction(coeff))
 
     # -- structure ---------------------------------------------------------
 
@@ -280,7 +287,7 @@ class Polynomial:
             exps = tuple(a - b for a, b in zip(re, de))
             if any(e < 0 for e in exps):
                 return None
-            t = Polynomial.monomial(self.chart, exps, rc / dc)
+            t = Polynomial._term(self.chart, exps, rc / dc)
             quo = quo + t
             rem = rem - t * divisor
         return quo
@@ -299,14 +306,14 @@ class Polynomial:
         if c is None:
             return None
         half = tuple(e // 2 for e in le)
-        root = Polynomial.monomial(self.chart, half, c)
+        root = Polynomial._term(self.chart, half, c)
         rem = self - root * root
         while not rem.is_zero:
             re, rc = rem._leading()
             exps = tuple(a - b for a, b in zip(re, half))
             if any(e < 0 for e in exps):
                 return None
-            t = Polynomial.monomial(self.chart, exps, rc / (2 * c))
+            t = Polynomial._term(self.chart, exps, rc / (2 * c))
             rem = rem - (root * 2 + t) * t      # (root + t)^2 = root^2 + (2 root + t) t
             root = root + t
         return root

@@ -51,11 +51,7 @@ class Report:
     checks: list[Check] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
 
-    def add(self, id: str, anchor: str, exact_zero: bool | None = None,
-            residual: str | float | None = None, passed: bool | None = None) -> None:
-        if exact_zero is not None:
-            residual = "0" if exact_zero else (residual if residual is not None else "nonzero")
-            passed = exact_zero if passed is None else passed
+    def add(self, id: str, anchor: str, residual: str | float, passed: bool) -> None:
         self.checks.append(Check(id, anchor, residual, bool(passed)))
 
     @property
@@ -101,7 +97,7 @@ def _exact_check(report: Report, id: str, anchor: str, residuals) -> None:
     """The exact rule: pass when every residual is zero, else report the largest
     coefficient of the nonzero ones."""
     bad = [r for r in residuals if not r.is_zero]
-    report.add(id, anchor, exact_zero=not bad, residual=_max_abs_coeff(bad))
+    report.add(id, anchor, _max_abs_coeff(bad) if bad else "0", not bad)
 
 
 # -- verify identities -----------------------------------------------------------
@@ -189,18 +185,26 @@ def identities_suite(dim: int, cases: int, seed: int, max_degree: int = 2) -> Re
 # -- verify skew-torsion -----------------------------------------------------------
 
 
-def _matches_christoffel(v: GeneralizedMetric, points) -> bool:
-    """The B = 0 oracle: the connection equals the classical Christoffel symbols at
-    every point; a point where g is singular is an input error."""
+TORSION_CHECK = ("skew-torsion", "(Delta_X Y - Delta_Y X)/2 - g[X,Y] = -i_X i_Y dB")
+COMPATIBILITY_CHECK = ("metric-compatibility", "X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla_X Z)")
+
+
+def _christoffel_residuals(v: GeneralizedMetric, points) -> list[Polynomial]:
+    """The B = 0 oracle: the connection minus the classical Christoffel symbols at every
+    point, as constants, one per nonzero difference; a point where g is singular is an
+    input error."""
     deltas = coordinate_deltas(v)
+    residuals = []
     for k, pt in enumerate(points):
         try:
-            if connection_at(v, pt, deltas) != christoffel_classical_at(v, pt):
-                return False
+            got, want = connection_at(v, pt, deltas), christoffel_classical_at(v, pt)
         except ZeroDivisionError:
             raise gio.InputError(
                 f"points[{k}] = ({', '.join(map(str, pt))}): g is singular there") from None
-    return True
+        residuals += [Polynomial.constant(v.chart, a - b) for got_l, want_l in zip(got, want)
+                      for got_i, want_i in zip(got_l, want_l)
+                      for a, b in zip(got_i, want_i) if a != b]
+    return residuals
 
 
 def skew_torsion_suite(dim: int, metrics: int, points: int, seed: int) -> Report:
@@ -212,28 +216,22 @@ def skew_torsion_suite(dim: int, metrics: int, points: int, seed: int) -> Report
     sample_points = [[Fraction(rng.randint(-1, 1), rng.randint(2, 4)) for _ in range(dim)]
                      for _ in range(points)]
 
-    oracle_ok = True
+    residuals = []
     for _ in range(metrics):
         v = random_metric(chart, rng)
-        oracle_ok &= _matches_christoffel(GeneralizedMetric.from_g_and_b(
+        residuals += _christoffel_residuals(GeneralizedMetric.from_g_and_b(
             chart, [[v.g_entry(i, j) for j in range(dim)] for i in range(dim)]), sample_points)
-    report.add("christoffel-oracle",
-               "B=0: Gamma^l_ij = g^{lk}(g_jk,i + g_ik,j - g_ij,k)/2 (independent oracle)",
-               exact_zero=oracle_ok)
+    _exact_check(report, "christoffel-oracle",
+                 "B=0: Gamma^l_ij = g^{lk}(g_jk,i + g_ik,j - g_ij,k)/2 (independent oracle)",
+                 residuals)
 
-    torsion_ok = compat_ok = True
-    for _ in range(metrics):
-        v = random_metric(chart, rng)
-        rep = torsion_check(v)
-        torsion_ok &= rep.torsion_matches_minus_h
-        compat_ok &= rep.metric_compatible
-    report.add("skew-torsion", "(Delta_X Y - Delta_Y X)/2 - g[X,Y] = -i_X i_Y dB",
-               exact_zero=torsion_ok)
-    report.add("metric-compatibility", "X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla_X Z)",
-               exact_zero=compat_ok)
+    reps = [torsion_check(random_metric(chart, rng)) for _ in range(metrics)]
+    _exact_check(report, *TORSION_CHECK, [r for rep in reps for r in rep.torsion_residuals])
+    _exact_check(report, *COMPATIBILITY_CHECK,
+                 [r for rep in reps for r in rep.compatibility_residuals])
 
     # diagonal-metric expansion, symbol for symbol
-    diag_ok = True
+    residuals = []
     diag = [[Polynomial.zero(chart) for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         diag[i][i] = Polynomial.constant(chart, 1) + random_polynomial(
@@ -246,16 +244,15 @@ def skew_torsion_suite(dim: int, metrics: int, points: int, seed: int) -> Report
                                                 + v.g_entry(i, k).differentiate(j)
                                                 - v.g_entry(i, j).differentiate(k))
                                          for k in range(dim)})
-            if deltas[i][j] != expected:
-                diag_ok = False
-    report.add("levi-civita-expansion",
-               "[d_i - g_ik dx_k, d_j + g_jk dx_k] = (g_jk,i + g_ik,j - g_ij,k) dx_k"
-               " = 2 g_lk Gamma^l_ij dx_k", exact_zero=diag_ok)
+            residuals.append(deltas[i][j] - expected)
+    _exact_check(report, "levi-civita-expansion",
+                 "[d_i - g_ik dx_k, d_j + g_jk dx_k] = (g_jk,i + g_ik,j - g_ij,k) dx_k"
+                 " = 2 g_lk Gamma^l_ij dx_k", residuals)
 
-    swapped_ok = all(torsion_check(random_metric(chart, rng), swapped=True).all_zero
-                     for _ in range(max(1, metrics // 2)))
-    report.add("swapped-roles", "interchanging V and its complement gives torsion +H",
-               exact_zero=swapped_ok)
+    reps = [torsion_check(random_metric(chart, rng), swapped=True)
+            for _ in range(max(1, metrics // 2))]
+    _exact_check(report, "swapped-roles", "interchanging V and its complement gives torsion +H",
+                 [r for rep in reps for r in rep.torsion_residuals + rep.compatibility_residuals])
     return report
 
 
@@ -265,16 +262,13 @@ def skew_torsion_file(metric_path: str, points_path: str | None) -> Report:
            if points_path else None)
     report = Report("verify-skew-torsion", {"input": metric_path, "points": points_path})
     rep = torsion_check(v, points=pts)
-    report.add("skew-torsion", "(Delta_X Y - Delta_Y X)/2 - g[X,Y] = -i_X i_Y dB",
-               exact_zero=rep.torsion_matches_minus_h,
-               residual=_max_abs_coeff(rep.torsion_residuals))
-    report.add("metric-compatibility", "X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla_X Z)",
-               exact_zero=rep.metric_compatible,
-               residual=_max_abs_coeff(rep.compatibility_residuals))
+    _exact_check(report, *TORSION_CHECK, rep.torsion_residuals)
+    _exact_check(report, *COMPATIBILITY_CHECK, rep.compatibility_residuals)
     if pts and all(v.b_entry(i, j).is_zero
                    for i in range(v.chart.dim) for j in range(v.chart.dim)):
-        report.add("christoffel-oracle", "B=0: Gamma matches the classical Christoffel symbols",
-                   exact_zero=_matches_christoffel(v, pts))
+        _exact_check(report, "christoffel-oracle",
+                     "B=0: Gamma matches the classical Christoffel symbols",
+                     _christoffel_residuals(v, pts))
     if rep.definiteness_warnings:
         report.extra["warnings"] = rep.definiteness_warnings
     return report
@@ -305,10 +299,10 @@ def twisted_suite(dim: int, cases: int, seed: int, cover_path: str | None = None
         cover = CoverData(chart, ["a", "b"], {("a", "b"): a_ab},
                           curving={"a": b_a, "b": b_a + exterior_derivative(a_ab)})
     coc = check_cocycle(cover)
-    report.add("cocycle", "dA_ab + dA_bc + dA_ca = 0; B_b - B_a = dA_ab",
-               exact_zero=coc.valid)
+    _exact_check(report, "cocycle", "dA_ab + dA_bc + dA_ca = 0; B_b - B_a = dA_ab",
+                 [*coc.triple_residuals.values(), *coc.curving_residuals.values()])
 
-    glue_ok = inner_ok = bracket_ok = True
+    glue, inner, bracket = [], [], []
     overlap = next(iter(cover.overlaps), None)
     if overlap is not None:
         for _ in range(cases):
@@ -317,37 +311,33 @@ def twisted_suite(dim: int, cases: int, seed: int, cover_path: str | None = None
             gu = glue_section(cover, u, overlap)
             gv = glue_section(cover, v, overlap)
             back = glue_section(cover, gu, (overlap[1], overlap[0]))
-            glue_ok &= back == u
-            inner_ok &= gv_inner(gu, gv) == gv_inner(u, v)
-            bracket_ok &= courant_bracket(gu, gv) == glue_section(
-                cover, courant_bracket(u, v), overlap)
-    report.add("glue-round-trip", "glue(a->b) then glue(b->a) is the identity",
-               exact_zero=glue_ok)
-    report.add("glue-inner", "gluing preserves (u, v)", exact_zero=inner_ok)
-    report.add("glue-bracket", "gluing commutes with the Courant bracket (dA closed)",
-               exact_zero=bracket_ok)
+            glue.append(back - u)
+            inner.append(gv_inner(gu, gv) - gv_inner(u, v))
+            bracket.append(courant_bracket(gu, gv)
+                           - glue_section(cover, courant_bracket(u, v), overlap))
+    _exact_check(report, "glue-round-trip", "glue(a->b) then glue(b->a) is the identity", glue)
+    _exact_check(report, "glue-inner", "gluing preserves (u, v)", inner)
+    _exact_check(report, "glue-bracket", "gluing commutes with the Courant bracket (dA closed)",
+                 bracket)
 
     if cover.curving is not None and overlap is not None:
-        glob_ok = True
-        for _ in range(max(1, cases // 10)):
-            base = (MixedForm.function(cover.chart, 1)
-                    + exterior_derivative(random_mixed_form(cover.chart, rng, degrees=(1,))))
-            phis = {}
-            ref_label = cover.labels[0]
-            for a in cover.labels:
-                if a == ref_label:
-                    phis[a] = base
-                else:
-                    da = exterior_derivative(cover.overlap_form(ref_label, a))
-                    phis[a] = bfield_on_form(-da, base)
-            try:
-                psis = globalize_with_curving(phis, cover)
-                hh = exterior_derivative(cover.curving[ref_label])
-                glob_ok &= twisted_differential(psis[ref_label], hh).is_zero
-            except CoverError:
-                glob_ok = False
-        report.add("globalize-curving", "e^{B_a} phi_a = e^{B_b} phi_b and (d-H)psi = 0",
-                   exact_zero=glob_ok)
+        check = ("globalize-curving", "e^{B_a} phi_a = e^{B_b} phi_b and (d-H)psi = 0")
+        ref_label = cover.labels[0]
+        hh = exterior_derivative(cover.curving[ref_label])
+        residuals = []
+        try:    # the last check: stopping at a failed globalization moves no later draw
+            for _ in range(max(1, cases // 10)):
+                base = (MixedForm.function(cover.chart, 1)
+                        + exterior_derivative(random_mixed_form(cover.chart, rng, degrees=(1,))))
+                phis = {a: base if a == ref_label else bfield_on_form(
+                            -exterior_derivative(cover.overlap_form(ref_label, a)), base)
+                        for a in cover.labels}
+                residuals.append(twisted_differential(
+                    globalize_with_curving(phis, cover)[ref_label], hh))
+        except CoverError as e:
+            report.add(*check, str(e), False)
+        else:
+            _exact_check(report, *check, residuals)
     return report
 
 
@@ -370,11 +360,12 @@ def spin55_analyze(rho: RhoPair, points=None) -> Report:
         "orbit_sign": stability.orbit_sign,
         "f": pair.f.to_json_obj(),
     }
-    report.add("stable", "f(rho) != 0 at every sample point", exact_zero=stability.all_stable,
-               residual="f vanishes at a sample point")
+    report.add("stable", "f(rho) != 0 at every sample point",
+               "0" if stability.all_stable else "f vanishes at a sample point",
+               stability.all_stable)
     if stability.all_stable and stability.orbit_sign is None:
         report.add("orbit", "a single orbit sign across the sample points",
-                   exact_zero=False, residual="sign of f varies across points")
+                   "sign of f varies across points", False)
     if stability.all_stable and stability.orbit_sign is not None:
         try:
             res = variational_residual(pair)
@@ -385,7 +376,7 @@ def spin55_analyze(rho: RhoPair, points=None) -> Report:
             # needed: a failed check (exit 1)
             check = {GramError: GRAM_CHECK, NormalizationError: NORMALIZATION_CHECK}.get(
                 type(e), ("stability", "f != 0 wherever the analysis evaluates the pair"))
-            report.add(*check, exact_zero=False, residual=str(e))
+            report.add(*check, str(e), False)
             report.extra.update(payload)
             return report
         payload["residuals"] = {
@@ -407,8 +398,8 @@ def spin55_analyze(rho: RhoPair, points=None) -> Report:
             "volume_preserving": {k: v.is_zero
                                   for k, v in commuting.volume_preserving_residuals.items()},
         }
-        report.add(*GRAM_CHECK, exact_zero=True)
-        report.add(*NORMALIZATION_CHECK, exact_zero=True)
+        report.add(*GRAM_CHECK, "0", True)
+        report.add(*NORMALIZATION_CHECK, "0", True)
     report.extra.update(payload)
     return report
 
@@ -417,6 +408,7 @@ def spin55_analyze(rho: RhoPair, points=None) -> Report:
 
 
 STABILITY_CHECK = ("stability", "f != 0 with a constant orbit sign at every node")
+CLOSEDNESS_TOL, MEAN_MODE_TOL, SIXDIM_TOL = 1e-9, 1e-10, 1e-10    # bench/workloads.py copies them
 
 
 def flow_run_report(config, trajectory_path: str | None, csv_path: str | None) -> Report:
@@ -430,18 +422,18 @@ def flow_run_report(config, trajectory_path: str | None, csv_path: str | None) -
         with np.errstate(over="ignore", invalid="ignore"):
             traj = run_flow(config)
     except StabilityError as e:
-        report.add(*STABILITY_CHECK, exact_zero=False, residual=str(e))
+        report.add(*STABILITY_CHECK, str(e), False)
         return report
-    report.add(*STABILITY_CHECK, exact_zero=True)
+    report.add(*STABILITY_CHECK, "0", True)
     diag = traj.diagnostics
     if "closedness" in config.diagnostics:
         worst = max(max(d["d_rho1"], d["d_rho2"]) for d in diag)
         report.add("closedness", "d rho = 0 is preserved along the flow",
-                   residual=worst, passed=worst < 1e-9)
+                   worst, worst < CLOSEDNESS_TOL)
     if "mean-modes" in config.diagnostics:
         drift = max(d["mean_mode_drift"] for d in diag)
         report.add("mean-modes", "spatial zero-Fourier mode of rho is constant in t",
-                   residual=drift, passed=drift < 1e-10)
+                   drift, drift < MEAN_MODE_TOL)
     if "hamiltonian" in config.diagnostics:
         v0, vT = diag[0]["hamiltonian"], diag[-1]["hamiltonian"]
         report.extra["volume_series"] = [d["hamiltonian"] for d in diag]
@@ -491,26 +483,24 @@ def sixdim_report(trajectory_path: str, z_text: str | None) -> Report:
     try:
         rep = check_trajectory(traj, z_values, traj.config.method, traj.config.stability_floor)
     except StabilityError as e:
-        report.add(*STABILITY_CHECK, exact_zero=False, residual=str(e))
+        report.add(*STABILITY_CHECK, str(e), False)
         return report
     except SignatureError as e:
-        report.add("gram-signature", signature_anchor, residual=str(e), passed=False)
+        report.add("gram-signature", signature_anchor, str(e), False)
         return report
-    tol = 1e-10
     for z in rep.z_values:
         report.add(f"annihilator-v[z={z}]", "v(z).sigma(z) = 0",
-                   residual=rep.annihilator_v[z], passed=rep.annihilator_v[z] < tol)
+                   rep.annihilator_v[z], rep.annihilator_v[z] < SIXDIM_TOL)
         report.add(f"annihilator-w[z={z}]", "w(z).sigma(z) = 0",
-                   residual=rep.annihilator_w[z], passed=rep.annihilator_w[z] < tol)
+                   rep.annihilator_w[z], rep.annihilator_w[z] < SIXDIM_TOL)
         report.add(f"nullity[z={z}]", "the annihilator of sigma(z) has dimension >= 2",
-                   residual=float(rep.nullity[z]), passed=rep.nullity[z] >= 2)
+                   float(rep.nullity[z]), rep.nullity[z] >= 2)
         if z in rep.ez:
             ez = rep.ez[z]
             report.add(f"isotropy[z={z}]",
                        "(v,v) = (v,w) = (w,w) = 0 with (u,u) = 2 and (dt-section)^2 = -2",
-                       residual=ez.isotropy_residual, passed=ez.isotropy_residual < tol)
-    report.add("gram-signature", signature_anchor,
-               residual=str(rep.signature), passed=rep.signature[:2] == (2, 2))
+                       ez.isotropy_residual, ez.isotropy_residual < SIXDIM_TOL)
+    report.add("gram-signature", signature_anchor, str(rep.signature), rep.signature[:2] == (2, 2))
     report.extra["dsigma"] = rep.dsigma
     report.extra["bracket_residuals"] = {z: rep.ez[z].bracket_residual for z in rep.ez}
     return report

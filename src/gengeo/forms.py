@@ -136,9 +136,9 @@ class MixedForm:
         clean: dict[Index, Polynomial] = {}
         if terms:
             for idx, coeff in terms.items():
-                idx = tuple(int(i) for i in idx)
-                if any(i < 0 or i >= chart.dim for i in idx):
-                    raise ValueError(f"index tuple {idx} out of range for dim {chart.dim}")
+                idx = tuple(idx)
+                if any(type(i) is not int or not 0 <= i < chart.dim for i in idx):
+                    raise ValueError(f"index tuple {idx} is not integers in 0..{chart.dim - 1}")
                 if any(a >= b for a, b in zip(idx, idx[1:])):
                     raise ValueError(f"index tuple {idx} is not strictly increasing")
                 p = coeff if isinstance(coeff, Polynomial) else Polynomial.constant(chart, coeff)

@@ -109,20 +109,29 @@ def test_exact_divide_and_sqrt():
         x1.exact_divide(Polynomial.zero(c))
 
 
-@pytest.mark.parametrize("exps, message", [
+# io's rule for exponents: chart.dim non-negative ints; int() truncated 1.5 to 1 and
+# accepted "1" and True, and monomial() stored whatever it was given
+MALFORMED_EXPONENTS = pytest.mark.parametrize("exps, message", [
     ((1, 0), r"exponent tuple \(1, 0\) has wrong length for dim 3"),
     ((0, -1, 0), r"negative exponent in \(0, -1, 0\)"),
-], ids=["wrong-length", "negative"])
+    ((1.5, 0, 0), r"non-integer or negative exponent in \(1.5, 0, 0\)"),
+    (("1", 0, 0), r"non-integer or negative exponent in \('1', 0, 0\)"),
+    ((True, 0, 0), r"non-integer or negative exponent in \(True, 0, 0\)"),
+], ids=["wrong-length", "negative", "float", "string", "bool"])
+
+
+@MALFORMED_EXPONENTS
 def test_polynomial_rejects_malformed_exponent_tuples(exps, message):
     with pytest.raises(ValueError, match=message):
         Polynomial(chart(), {exps: 1})
 
 
-def test_exponent_tuples_equal_after_int_are_summed():
-    c = chart()
-    x1 = Polynomial.coordinate(c, 0)
-    assert Polynomial(c, {(1, 0, 0): 2, ("1", 0, 0): 1}) == x1 * 3
-    assert Polynomial(c, {(1, 0, 0): 2, ("1", 0, 0): -2}) == Polynomial.zero(c)
+@MALFORMED_EXPONENTS
+def test_monomial_rejects_malformed_exponent_tuples(exps, message):
+    with pytest.raises(ValueError, match=message):
+        Polynomial.monomial(chart(), exps)
+    with pytest.raises(ValueError, match=message):      # a zero coefficient as well
+        Polynomial.monomial(chart(), exps, 0)
 
 
 def test_json_round_trip():

@@ -1,24 +1,34 @@
-"""Every function the benchmark's tracer wraps still exists in gengeo.
+"""The benchmark's view of gengeo still matches gengeo.
 
 ``bench/tracing.py`` wraps each name in its ``LAYERS`` table by looking it
 up in the owning module or class dict; a deleted or renamed function breaks
-``bench/run.py --trace 1`` and ``python3 -m pytest bench``.  This test reads
-the table (it edits nothing under ``bench/``) and resolves each name the
-way the tracer does.
+``bench/run.py --trace 1`` and ``python3 -m pytest bench``.  These tests read
+the table (they edit nothing under ``bench/``) and resolve each name the
+way the tracer does.  ``bench/workloads.py`` judges its ops with copies of
+the CLI's pass thresholds, which must equal the CLI's own.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+from gengeo import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # a dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def layer_names() -> list[tuple[str, str]]:
-    spec = importlib.util.spec_from_file_location("bench_tracing_layers", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return [(layer, qualname) for layer, names in module.LAYERS.items() for qualname in names]
+    return [(layer, qualname) for layer, names in load("tracing").LAYERS.items()
+            for qualname in names]
 
 
 def test_every_traced_name_resolves():
@@ -34,3 +44,9 @@ def test_every_traced_name_resolves():
         if not callable(getattr(raw, "__func__", raw)):
             missing.append(f"{layer}.{qualname}")
     assert missing == []
+
+
+def test_the_benchmark_judges_ops_with_the_cli_tolerances():
+    workloads = load("workloads")
+    names = ("CLOSEDNESS_TOL", "MEAN_MODE_TOL", "SIXDIM_TOL")
+    assert [getattr(workloads, n) for n in names] == [getattr(cli, n) for n in names]

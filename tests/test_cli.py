@@ -386,8 +386,10 @@ def test_a_cover_file_whose_curving_breaks_the_cocycle_fails_exit_1(tmp_path):
     out = tmp_path / "r.json"
     assert run_cli(["verify", "twisted", "--dim", "2", "--cases", "2", "--input", str(cover),
                     "--out", str(out)]) == 1
-    assert [c["id"] for c in read(out)["checks"] if not c["passed"]] == [
-        "cocycle", "globalize-curving"]
+    # the cocycle fails with its largest coefficient, the globalization with its
+    # CoverError message; both read "nonzero"
+    assert [(c["id"], c["residual"]) for c in read(out)["checks"] if not c["passed"]] == [
+        ("cocycle", 1.0), ("globalize-curving", "globalization failed: psi_b differs")]
 
 
 def test_repeated_form_indices_are_summed(tmp_path):
@@ -440,20 +442,113 @@ def _shift_first_delta(coordinate_deltas):
 
 
 @pytest.mark.parametrize("name, shift, failed", [
-    ("connection_at", _shift_connection, ["christoffel-oracle"]),
-    ("coordinate_deltas", _shift_first_delta, ["christoffel-oracle", "levi-civita-expansion"]),
+    ("connection_at", _shift_connection, [("christoffel-oracle", 1.0)]),
+    ("coordinate_deltas", _shift_first_delta,
+     [("christoffel-oracle", None), ("levi-civita-expansion", 1.0)]),
 ], ids=["connection", "deltas"])
 def test_skew_torsion_oracles_fail_on_a_wrong_connection(tmp_path, monkeypatch, name, shift,
                                                          failed):
     # a check that cannot fail proves nothing: a shifted connection or Delta fails the
-    # oracles that read it, with exit 1
+    # oracles that read it, with exit 1 and its largest coefficient (None: some float
+    # > 0), where it read "nonzero"
     from gengeo import cli
 
     monkeypatch.setattr(cli, name, shift(getattr(cli, name)))
     out = tmp_path / "r.json"
     assert run_cli(["verify", "skew-torsion", "--dim", "2", "--metrics", "1",
                     "--sample-points", "1", "--out", str(out)]) == 1
-    assert [c["id"] for c in read(out)["checks"] if not c["passed"]] == failed
+    bad = [c for c in read(out)["checks"] if not c["passed"]]
+    assert [c["id"] for c in bad] == [check for check, _ in failed]
+    for c, (_, residual) in zip(bad, failed):
+        assert c["residual"] == residual if residual is not None else c["residual"] > 0
+
+
+def test_a_metric_file_fails_the_christoffel_oracle_on_a_wrong_connection(tmp_path,
+                                                                         monkeypatch):
+    from gengeo import cli
+
+    monkeypatch.setattr(cli, "connection_at", _shift_connection(cli.connection_at))
+    metric, points, out = tmp_path / "m.json", tmp_path / "p.json", tmp_path / "r.json"
+    metric.write_text(json.dumps({"C": [[1, 0], [0, [{"exponents": [1, 0], "coeff": "1/4"},
+                                                     {"exponents": [0, 0], "coeff": 1}]]]}))
+    points.write_text(json.dumps({"points": [[0, 0], ["1/2", 1]]}))
+    assert run_cli(["verify", "skew-torsion", "--input", str(metric), "--points", str(points),
+                    "--out", str(out)]) == 1
+    assert [(c["id"], c["residual"]) for c in read(out)["checks"] if not c["passed"]] == [
+        ("christoffel-oracle", 1.0)]
+
+
+def _bump_torsion(field):
+    """torsion_check with 1 added to the first of the report's `field` residuals."""
+    def wrap(torsion_check):
+        def bumped(v, *args, **kwargs):
+            rep = torsion_check(v, *args, **kwargs)
+            residuals = getattr(rep, field)
+            residuals[0] = residuals[0] + 1
+            return rep
+        return bumped
+    return wrap
+
+
+def _bump_cocycle(check_cocycle):
+    def bumped(cover):
+        rep = check_cocycle(cover)
+        key = next(iter(rep.curving_residuals))
+        rep.curving_residuals[key] = (rep.curving_residuals[key]
+                                      + MixedForm.basis(cover.chart, (0, 1), 3))
+        return rep
+    return bumped
+
+
+def _unoriented_glue(glue_section):
+    # glues by dA_ab in both directions, so the round trip adds 2 i_X dA_ab
+    return lambda cover, u, overlap: glue_section(cover, u, tuple(sorted(overlap)))
+
+
+def _half_pairing(gv_inner):
+    # xi(Y) without its symmetrization: gluing adds dA(X, Y), which the half with
+    # eta(X) would cancel
+    return lambda u, v: sum((u.oneform.coefficient((i,)) * y
+                             for i, y in enumerate(v.vector.components)),
+                            Polynomial.zero(u.chart))
+
+
+def _plus_vector(courant_bracket):
+    # a vector part d/dx1 that the bracket of the glued sections gets unglued
+    return lambda u, v: courant_bracket(u, v) + GenSection.from_vector(
+        VectorField.coordinate(u.chart, 0))
+
+
+def _plus_one(twisted_differential):
+    return lambda psi, h: twisted_differential(psi, h) + MixedForm.function(psi.chart, 1)
+
+
+SKEW_TORSION = ["verify", "skew-torsion", "--dim", "3", "--metrics", "2",
+                "--sample-points", "1"]
+TWISTED = ["verify", "twisted", "--dim", "3", "--cases", "10"]
+
+
+@pytest.mark.parametrize("args, name, wrap, failed", [
+    (SKEW_TORSION, "torsion_check", _bump_torsion("torsion_residuals"),
+     [("skew-torsion", 1.0), ("swapped-roles", 1.0)]),
+    (SKEW_TORSION, "torsion_check", _bump_torsion("compatibility_residuals"),
+     [("metric-compatibility", 1.0), ("swapped-roles", 1.0)]),
+    (TWISTED, "check_cocycle", _bump_cocycle, [("cocycle", 3.0)]),
+    (TWISTED, "glue_section", _unoriented_glue, [("glue-round-trip", 8.0)]),
+    (TWISTED, "gv_inner", _half_pairing, [("glue-inner", 12.0)]),
+    (TWISTED, "courant_bracket", _plus_vector, [("glue-bracket", 1.0)]),
+    (TWISTED, "twisted_differential", _plus_one,
+     [("twisted-d-squared", 4.0), ("globalize-curving", 1.0)]),
+], ids=["torsion", "compatibility", "cocycle", "glue", "inner", "bracket", "twisted-d"])
+def test_each_exact_check_fails_with_a_number(tmp_path, monkeypatch, args, name, wrap, failed):
+    # a wrong library call fails exactly the checks that read it, each with its largest
+    # coefficient; every one of them read "nonzero"
+    from gengeo import cli
+
+    monkeypatch.setattr(cli, name, wrap(getattr(cli, name)))
+    out = tmp_path / "r.json"
+    assert run_cli([*args, "--out", str(out)]) == 1
+    assert [(c["id"], c["residual"]) for c in read(out)["checks"] if not c["passed"]] == failed
 
 
 @pytest.mark.parametrize("args", [

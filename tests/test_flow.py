@@ -189,6 +189,32 @@ def test_volume_drift_is_a_property_of_the_flow_of_order_eps4():
     assert 15.5 <= drift(0.02, 0.02) / base <= 16.5
 
 
+def test_the_flipped_flow_conserves_volume_and_breaks_the_nahm_h_equation(monkeypatch):
+    # (d rho_hat1, -d rho_hat2), the Hamiltonian flow of V: V(T) - V(0) measured -7.3e-12
+    # against -1.02e-5 shipped, and h' ~ 0, so the last h residual is |[v1, v2]| = 1.960
+    # against 4.2e-3 shipped; closedness is 2.9e-14 on both
+    config = FlowConfig(n=4, dt=0.02, steps=10, epsilon=0.02,
+                        diagnostics=("hamiltonian", "closedness", "nahm"))
+
+    def measure():
+        diag = run_flow(config).diagnostics
+        assert max(max(d["d_rho1"], d["d_rho2"]) for d in diag) < 1e-12
+        h = [d["nahm_h"] for d in diag if "nahm_h" in d]
+        return diag[-1]["hamiltonian"] - diag[0]["hamiltonian"], h[-1]
+
+    shipped_drift, shipped_h = measure()
+    v = flow._v
+
+    def flipped(spin, i, rho, out):
+        other, sign = v(spin, i, rho, out)
+        return other, -sign if i == 1 else sign
+
+    monkeypatch.setattr(flow, "_v", flipped)
+    flipped_drift, flipped_h = measure()
+    assert abs(shipped_drift) >= 1e-6 and shipped_h <= 1e-2
+    assert abs(flipped_drift) <= 1e-10 and flipped_h >= 1
+
+
 def test_initial_data_closed_and_stable():
     cfg = small_cfg()
     s = initial_state(cfg)

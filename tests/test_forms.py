@@ -196,6 +196,14 @@ def test_degree_bookkeeping():
         MixedForm(c, {(3,): 1})
 
 
+@pytest.mark.parametrize("idx", [(1.7,), (True,), ("1",), (0, 1.0)],
+                         ids=["float", "bool", "string", "float-second"])
+def test_form_indices_that_are_not_ints_are_rejected(idx):
+    # int() stored (1.7,) and (True,) as the index (1,)
+    with pytest.raises(ValueError, match=r"index tuple \(.*\) is not integers in 0\.\.2"):
+        MixedForm(Chart(3), {idx: 1})
+
+
 def test_vector_field_needs_one_component_per_coordinate():
     c = Chart(3)
     with pytest.raises(ValueError, match="component count must equal chart.dim"):
