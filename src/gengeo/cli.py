@@ -282,6 +282,16 @@ def twisted_suite(dim: int, cases: int, seed: int, cover_path: str | None = None
     chart = Chart(dim)
     report = Report("verify-twisted",
                     {"dim": dim, "cases": cases, "seed": seed, "input": cover_path})
+    if cover_path:
+        cover = gio.parse_cover(gio.load_json(cover_path))
+        if not cover.overlaps:
+            raise gio.InputError("cover.A: no overlap, so the glue checks would test nothing")
+    else:
+        x1 = Polynomial.coordinate(chart, 0)
+        a_ab = MixedForm.basis(chart, (1,), x1)
+        b_a = MixedForm.basis(chart, (0, 1))
+        cover = CoverData(chart, ["a", "b"], {("a", "b"): a_ab},
+                          curving={"a": b_a, "b": b_a + exterior_derivative(a_ab)})
 
     residuals = []
     for _ in range(cases):
@@ -290,24 +300,19 @@ def twisted_suite(dim: int, cases: int, seed: int, cover_path: str | None = None
         residuals.append(twisted_differential(twisted_differential(psi, h), h))
     _exact_check(report, "twisted-d-squared", "(d - H)^2 psi = 0 for closed H", residuals)
 
-    if cover_path:
-        cover = gio.parse_cover(gio.load_json(cover_path))
-    else:
-        x1 = Polynomial.coordinate(chart, 0)
-        a_ab = MixedForm.basis(chart, (1,), x1)
-        b_a = MixedForm.basis(chart, (0, 1))
-        cover = CoverData(chart, ["a", "b"], {("a", "b"): a_ab},
-                          curving={"a": b_a, "b": b_a + exterior_derivative(a_ab)})
     coc = check_cocycle(cover)
     _exact_check(report, "cocycle", "dA_ab + dA_bc + dA_ca = 0; B_b - B_a = dA_ab",
                  [*coc.triple_residuals.values(), *coc.curving_residuals.values()])
 
     glue, inner, bracket = [], [], []
-    overlap = next(iter(cover.overlaps), None)
-    if overlap is not None:
-        for _ in range(cases):
-            u = random_section(cover.chart, rng)
-            v = random_section(cover.chart, rng)
+    overlaps = []       # each unordered overlap once, in the orientation stored first
+    for a, b in cover.overlaps:
+        if (b, a) not in overlaps:
+            overlaps.append((a, b))
+    for _ in range(cases):
+        u = random_section(cover.chart, rng)
+        v = random_section(cover.chart, rng)
+        for overlap in overlaps:
             gu = glue_section(cover, u, overlap)
             gv = glue_section(cover, v, overlap)
             back = glue_section(cover, gu, (overlap[1], overlap[0]))
@@ -320,7 +325,7 @@ def twisted_suite(dim: int, cases: int, seed: int, cover_path: str | None = None
     _exact_check(report, "glue-bracket", "gluing commutes with the Courant bracket (dA closed)",
                  bracket)
 
-    if cover.curving is not None and overlap is not None:
+    if cover.curving is not None:
         check = ("globalize-curving", "e^{B_a} phi_a = e^{B_b} phi_b and (d-H)psi = 0")
         ref_label = cover.labels[0]
         hh = exterior_derivative(cover.curving[ref_label])

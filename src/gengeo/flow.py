@@ -156,9 +156,10 @@ def _mode_index(k: int, entry) -> tuple[int, ...]:
     return idx
 
 
-def lattice_cell_volume(n: int) -> float:
-    """Volume of one cell of the N^5 lattice over [0, 2pi)^5."""
-    return (2 * np.pi / n) ** DIM
+def lattice_cell_volume(fields: np.ndarray) -> float:
+    """Volume of one cell of the N^5 lattice over [0, 2pi)^5 that ``fields`` (last
+    axis N) is sampled on."""
+    return (2 * np.pi / fields.shape[-1]) ** DIM
 
 
 @dataclass
@@ -190,7 +191,6 @@ class GridState:
     them; rho1 and rho2 are then read-only, so the memo cannot go stale.
     """
 
-    n: int
     rho1: np.ndarray
     rho2: np.ndarray
     t: float
@@ -198,11 +198,7 @@ class GridState:
     spin: SpinMemo | None = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> "GridState":
-        return GridState(self.n, self.rho1.copy(), self.rho2.copy(), self.t, self.dt)
-
-    @property
-    def cell_volume(self) -> float:
-        return lattice_cell_volume(self.n)
+        return GridState(self.rho1.copy(), self.rho2.copy(), self.t, self.dt)
 
 
 # -- the two halves of a pair --------------------------------------------------
@@ -320,11 +316,10 @@ def _axis_derivative(fields: np.ndarray, axis: int, dmat: np.ndarray,
     return out
 
 
-def gradient(fields: np.ndarray, n: int, method: str,
-             out: np.ndarray | None = None) -> np.ndarray:
+def gradient(fields: np.ndarray, method: str, out: np.ndarray | None = None) -> np.ndarray:
     """d(fields)/dx_i for every component, shape (5,) + fields.shape, written
     into ``out`` if given (C-contiguous, as for ``_axis_derivative``)."""
-    dmat = derivative_matrix(n, method)
+    dmat = derivative_matrix(fields.shape[-1], method)
     if out is None:
         out = np.empty((DIM,) + fields.shape, dtype=np.float64)
     for i in range(DIM):
@@ -332,12 +327,12 @@ def gradient(fields: np.ndarray, n: int, method: str,
     return out
 
 
-def spectral_gradient(fields: np.ndarray, n: int) -> np.ndarray:
+def spectral_gradient(fields: np.ndarray) -> np.ndarray:
     # kept only as a name that bench/tracing.py and bench/run.py look up
-    return gradient(fields, n, "spectral")
+    return gradient(fields, "spectral")
 
 
-def grid_d(fields: np.ndarray, parity: int, n: int, method: str = "spectral",
+def grid_d(fields: np.ndarray, parity: int, method: str = "spectral",
            out: np.ndarray | None = None, term: np.ndarray | None = None,
            sign: int = 1) -> np.ndarray:
     """Exterior derivative of sign * fields (sign = +-1) for a sampled form (leading
@@ -346,8 +341,9 @@ def grid_d(fields: np.ndarray, parity: int, n: int, method: str = "spectral",
     one-component scratch ``term``.  A negative first term is the GEMM with -D:
     GEMMs sum from +0 and -D negates every product, so the result is bitwise a
     zero fill plus signed adds, the signs of zeros included.  With ``out`` and
-    ``term`` given, ``fields`` and ``out`` may be sequences of component views."""
-    dmat = derivative_matrix(n, method)
+    ``term`` given, ``fields`` and ``out`` may be sequences of component views (the
+    grid size is read from ``out[0]``)."""
+    dmat = derivative_matrix((fields if out is None else out[0]).shape[-1], method)
     mats = dmat, -dmat
     return form_tables(DIM).d_apply(fields, parity, lambda comp, i, t, negate: _axis_derivative(
         comp, comp.ndim - DIM + i, mats[negate], t), out, term, sign)
@@ -387,7 +383,7 @@ def _q_f(rho1: np.ndarray, rho2: np.ndarray, ws: Workspace) -> np.ndarray:
     """Q(rho1), Q(rho2) into ws.q1, ws.q2 and f = (Q1, Q2) into ws.f; returns ws.f."""
     qt = q_tables()
     _halves(lambda i: qt.q_apply((rho1, rho2)[i], (ws.q1, ws.q2)[i], ws.terms[i]))
-    return section_inner(ws.q1, ws.q2, DIM, ws.f, ws.terms)
+    return section_inner(ws.q1, ws.q2, ws.f, ws.terms)
 
 
 def stability_field(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
@@ -465,7 +461,7 @@ class _OnDemand:
 
 
 def _slope(spin: PointwiseSpin, i: int, rho: Sequence[np.ndarray], ws: Workspace,
-           out: np.ndarray, n: int, method: str) -> None:
+           out: np.ndarray, method: str) -> None:
     """Half i of d rho_hat into ``out``: each hat component v.rho is built into ws.hat[i]
     as ``grid_d`` first reads it, bitwise the components of ``clifford_apply``.  Both
     use ws.terms[i], one after the other."""
@@ -475,7 +471,7 @@ def _slope(spin: PointwiseSpin, i: int, rho: Sequence[np.ndarray], ws: Workspace
     by_dst = ft.clifford_by_dst[0]
     hat = _OnDemand(lambda src, buf: ft.clifford_apply(v, other, 0, (buf,), term, by_dst[src]),
                     ws.hat[i])
-    grid_d(hat, 1, n, method, out, term, sign)
+    grid_d(hat, 1, method, out, term, sign)
 
 
 def signed_triple(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6, t: float = 0.0,
@@ -498,7 +494,7 @@ def flow_step(state: GridState, method: str = "spectral", floor: float = 1e-6,
     returned pair is the only new array; the input state is never written.  The
     first stage uses ``spin``, the state's Q/f from ``_pointwise_spin`` at this
     floor, if given."""
-    n, dt, t = state.n, state.dt, state.t
+    dt, t = state.dt, state.t
     if dt == 0.0:
         return state.copy()
     ws = Workspace(state.rho1.shape[1:]) if ws is None else ws
@@ -507,7 +503,7 @@ def flow_step(state: GridState, method: str = "spectral", floor: float = 1e-6,
     def slopes(rho: Sequence[np.ndarray], tc: float, out: np.ndarray,
                spin: PointwiseSpin | None = None) -> None:
         spin = _pointwise_spin(rho[0], rho[1], floor, tc, ws) if spin is None else spin
-        _halves(lambda i: _slope(spin, i, rho, ws, out[i], n, method))
+        _halves(lambda i: _slope(spin, i, rho, ws, out[i], method))
 
     def next_stage(i: int, j: int, c: float) -> None:
         np.multiply(k[i] if j else acc[i], c, out=stage[i])
@@ -528,7 +524,7 @@ def flow_step(state: GridState, method: str = "spectral", floor: float = 1e-6,
         _halves(lambda i: next_stage(i, j, c))
         slopes(stage, tc, k)
     _halves(last)
-    return GridState(n, acc[0], acc[1], t + dt, dt)
+    return GridState(acc[0], acc[1], t + dt, dt)
 
 
 def hamiltonian(state: GridState, floor: float = 1e-6) -> float:
@@ -540,11 +536,11 @@ def hamiltonian(state: GridState, floor: float = 1e-6) -> float:
     a conserved quantity.
     """
     spin = _pointwise_spin(state.rho1, state.rho2, floor, state.t)
-    return _total_volume(spin.phi, state.cell_volume)
+    return _total_volume(spin.phi)
 
 
-def _total_volume(phi: np.ndarray, cell_volume: float) -> float:
-    return float(np.sum(phi)) * cell_volume
+def _total_volume(phi: np.ndarray) -> float:
+    return float(np.sum(phi)) * lattice_cell_volume(phi)
 
 
 def mean_modes(state: GridState) -> np.ndarray:
@@ -559,14 +555,14 @@ def closedness_norms(state: GridState, method: str = "spectral",
     ws.k[i] with ws.terms[i] as scratch (a fresh Workspace if None)."""
     ws = Workspace(state.rho1.shape[1:]) if ws is None else ws
     return tuple(_halves(lambda i: grid_norm(
-        grid_d((state.rho1, state.rho2)[i], 0, state.n, method, ws.k[i], ws.terms[i]),
-        state.cell_volume, out=ws.k[i])))
+        grid_d((state.rho1, state.rho2)[i], 0, method, ws.k[i], ws.terms[i]), out=ws.k[i])))
 
 
-def grid_norm(fields: np.ndarray, cell_volume: float, out: np.ndarray | None = None) -> float:
+def grid_norm(fields: np.ndarray, out: np.ndarray | None = None) -> float:
     """L2 norm over components and nodes, fixed axis-major reduction; the squares
     go into ``out`` if given (``fields`` itself when it is scratch)."""
-    return float(np.sqrt(np.sum(np.multiply(fields, fields, out=out)) * cell_volume))
+    return float(np.sqrt(np.sum(np.multiply(fields, fields, out=out))
+                         * lattice_cell_volume(fields)))
 
 
 # -- initial data ------------------------------------------------------------------
@@ -620,9 +616,9 @@ def initial_state(config: FlowConfig) -> GridState:
         modes = DEFAULT_PERTURBATION if config.perturbation == "default" else config.perturbation
         if modes:
             a1, a2 = perturbation_forms(n, modes)
-            rho1 += config.epsilon * grid_d(a1, 1, n, config.method)
-            rho2 += config.epsilon * grid_d(a2, 1, n, config.method)
-    return GridState(n, rho1, rho2, 0.0, config.dt)
+            rho1 += config.epsilon * grid_d(a1, 1, config.method)
+            rho2 += config.epsilon * grid_d(a2, 1, config.method)
+    return GridState(rho1, rho2, 0.0, config.dt)
 
 
 # -- trajectories -------------------------------------------------------------------
@@ -677,7 +673,7 @@ class Trajectory:
             if arr.shape != shape:
                 raise ValueError(f"trajectory {name} has shape {arr.shape}, expected {shape}")
         return Trajectory(config, diagnostics, deque(
-            GridState(config.n, rho1[i], rho2[i], float(t), float(config.dt))
+            GridState(rho1[i], rho2[i], float(t), float(config.dt))
             for i, t in enumerate(times)))
 
 
@@ -698,7 +694,7 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
         spin = _pointwise_spin(s.rho1, s.rho2, config.stability_floor, s.t, ws)
         entry: dict = {"t": s.t}
         if "hamiltonian" in config.diagnostics:
-            entry["hamiltonian"] = _total_volume(spin.phi, s.cell_volume)
+            entry["hamiltonian"] = _total_volume(spin.phi)
         if "mean-modes" in config.diagnostics:
             entry["mean_mode_drift"] = float(np.max(np.abs(mean_modes(s) - mean0)))
         if "closedness" in config.diagnostics:
@@ -729,8 +725,9 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
 # -- Courant brackets and the evolution-equation residual ----------------------------
 
 
-def section_pairing(u: np.ndarray, v: np.ndarray, dim: int) -> np.ndarray:
+def section_pairing(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pointwise i_{X_u} xi_v - i_{X_v} xi_u of sections (2 dim, grid)."""
+    dim = len(u) // 2
     acc = np.zeros_like(u[0])
     for a in range(dim):
         acc += u[a] * v[dim + a] - v[a] * u[dim + a]
@@ -760,11 +757,10 @@ def bracket_from_derivatives(u: np.ndarray, v: np.ndarray, du: np.ndarray, dv: n
     return out
 
 
-def courant_bracket_grid(u: np.ndarray, v: np.ndarray, n: int,
-                         method: str = "spectral") -> np.ndarray:
+def courant_bracket_grid(u: np.ndarray, v: np.ndarray, method: str = "spectral") -> np.ndarray:
     """[u, v] for sampled sections (10, grid) on the five-torus."""
-    return bracket_from_derivatives(u, v, gradient(u, n, method), gradient(v, n, method),
-                                    gradient(section_pairing(u, v, DIM), n, method))
+    return bracket_from_derivatives(u, v, gradient(u, method), gradient(v, method),
+                                    gradient(section_pairing(u, v), method))
 
 
 def lambda_field(h: np.ndarray, bracket_v1v2: np.ndarray) -> np.ndarray:
@@ -774,8 +770,8 @@ def lambda_field(h: np.ndarray, bracket_v1v2: np.ndarray) -> np.ndarray:
     constant (1/2 in the f < 0 orbit), so this is the exact multiplier
     that closes the evolution equations.
     """
-    hh = section_inner(h, h, DIM)
-    return -section_inner(h, bracket_v1v2, DIM) / hh
+    hh = section_inner(h, h)
+    return -section_inner(h, bracket_v1v2) / hh
 
 
 @dataclass
@@ -824,32 +820,30 @@ def nahm_residual(states: Sequence[GridState], method: str = "spectral",
     ``triples`` gives the three states' ``signed_triple`` values if already built.
     """
     prev, mid, nxt, dt = central_window(states)
-    n = mid.n
-    cell = mid.cell_volume
 
     if triples is None:
         triples = [signed_triple(s.rho1, s.rho2, floor, s.t) for s in (prev, mid, nxt)]
     v1m, hm, v2m = triples[1]
     dot = [(b - a) / (2 * dt) for a, b in zip(triples[0], triples[2])]
 
-    br_hv1 = courant_bracket_grid(hm, v1m, n, method)
-    br_v1v2 = courant_bracket_grid(v1m, v2m, n, method)
-    br_hv2 = courant_bracket_grid(hm, v2m, n, method)
+    br_hv1 = courant_bracket_grid(hm, v1m, method)
+    br_v1v2 = courant_bracket_grid(v1m, v2m, method)
+    br_hv2 = courant_bracket_grid(hm, v2m, method)
     lam = lambda_field(hm, br_v1v2)
 
     r1 = dot[0] + 2 * br_hv1 - lam * v1m
     rh = dot[1] - br_v1v2 - lam * hm
     r2 = dot[2] - 2 * br_hv2 - lam * v2m
     rh0 = dot[1] - br_v1v2
-    lam_hh2 = -0.5 * section_inner(hm, br_v1v2, DIM)
+    lam_hh2 = -0.5 * section_inner(hm, br_v1v2)
     rhp = dot[1] - br_v1v2 - lam_hh2 * hm
 
     return NahmResidual(
         t=mid.t,
-        v1_residual=grid_norm(r1, cell),
-        h_residual=grid_norm(rh, cell),
-        v2_residual=grid_norm(r2, cell),
-        h_residual_lambda0=grid_norm(rh0, cell),
-        h_residual_lambda_hh2=grid_norm(rhp, cell),
+        v1_residual=grid_norm(r1),
+        h_residual=grid_norm(rh),
+        v2_residual=grid_norm(r2),
+        h_residual_lambda0=grid_norm(rh0),
+        h_residual_lambda_hh2=grid_norm(rhp),
         lambda_max=float(np.max(np.abs(lam))),
     )

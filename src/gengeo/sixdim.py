@@ -38,7 +38,7 @@ import numpy as np
 
 from .flow import (GridState, SpinMemo, Trajectory, _halves, bracket_from_derivatives,
                    central_window, courant_bracket_grid, gradient, grid_d, grid_norm,
-                   lambda_field, lattice_cell_volume, rho_hat_grid, section_pairing)
+                   lambda_field, rho_hat_grid, section_pairing)
 from .tables import form_tables, section_inner
 
 DIM = 5
@@ -109,7 +109,7 @@ def _add_dt_section(sec: np.ndarray) -> np.ndarray:
 def _dt_section_norm() -> float:
     """(d/dt - 2dt, d/dt - 2dt), read at one node: the section is constant."""
     dt_sec = _add_dt_section(np.zeros((2 * DIM6, 1)))
-    return float(section_inner(dt_sec, dt_sec, DIM6)[0])
+    return float(section_inner(dt_sec, dt_sec)[0])
 
 
 def _spatial(sec: np.ndarray) -> list[np.ndarray]:
@@ -183,7 +183,6 @@ class SigmaSlice:
 
     z: ZValue
     t: float
-    n: int
     sigma: np.ndarray   # (32, grid) even 6-chart form
     v_z: np.ndarray     # (12, grid)
     w_z: np.ndarray     # (12, grid)
@@ -234,7 +233,7 @@ def build_sigma(source: Trajectory | Sequence[GridState], z: ZValue,
     for k, state in enumerate(states):
         memo = _spin_memo(state, floor)
         _write_slice(state, memo, z, ws.slices[k], ws.term[0])
-        slices.append(SigmaSlice(z, state.t, state.n, *ws.slices[k], memo, ws))
+        slices.append(SigmaSlice(z, state.t, *ws.slices[k], memo, ws))
     return slices
 
 
@@ -321,7 +320,7 @@ def _triple_signature(triple: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tupl
     gram = np.zeros(triple[0].shape[1:] + (4, 4))
     gram[..., 0, 0] = _dt_section_norm()
     for i, j in combinations_with_replacement(range(3), 2):
-        gram[..., i + 1, j + 1] = gram[..., j + 1, i + 1] = section_inner(triple[i], triple[j], DIM)
+        gram[..., i + 1, j + 1] = gram[..., j + 1, i + 1] = section_inner(triple[i], triple[j])
     eig = np.linalg.eigvalsh(gram.reshape(-1, 4, 4))
     scale = np.max(np.abs(eig))
     pos = (eig > 1e-9 * scale).sum(axis=1)
@@ -335,18 +334,18 @@ def _triple_signature(triple: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tupl
 # -- slice-sequence checks ---------------------------------------------------------
 
 
-def _spacetime_gradient(slices: Sequence[np.ndarray], n: int, dt: float, method: str,
+def _spacetime_gradient(slices: Sequence[np.ndarray], dt: float, method: str,
                         out: np.ndarray) -> np.ndarray:
     """(d/dt, d/dx_1..d/dx_5) of the middle slice into ``out``, d/dt by central
     differences."""
     np.subtract(slices[2], slices[0], out=out[0])
     out[0] /= 2 * dt
-    gradient(slices[1], n, method, out=out[1:])
+    gradient(slices[1], method, out=out[1:])
     return out
 
 
 def courant_bracket_6d(u_slices: Sequence[np.ndarray], v_slices: Sequence[np.ndarray],
-                       n: int, dt: float, method: str = "spectral",
+                       dt: float, method: str = "spectral",
                        ws: ZWorkspace | None = None) -> np.ndarray:
     """[u, v] on the 6-chart at the middle slice, through ``ws``'s gradients (a fresh
     ``ZWorkspace`` if None) into ``ws.out[:12]``.
@@ -360,11 +359,11 @@ def courant_bracket_6d(u_slices: Sequence[np.ndarray], v_slices: Sequence[np.nda
 
     def half(i: int) -> None:
         if i:
-            _spacetime_gradient(v_slices, n, dt, method, dv)
+            _spacetime_gradient(v_slices, dt, method, dv)
             return
-        _spacetime_gradient(u_slices, n, dt, method, du)
-        pairings = [section_pairing(us, vs, DIM6) for us, vs in zip(u_slices, v_slices)]
-        _spacetime_gradient(pairings, n, dt, method, dpairing)
+        _spacetime_gradient(u_slices, dt, method, du)
+        pairings = [section_pairing(us, vs) for us, vs in zip(u_slices, v_slices)]
+        _spacetime_gradient(pairings, dt, method, dpairing)
 
     _halves(half)
     return bracket_from_derivatives(u_slices[1], v_slices[1], du, dv, dpairing,
@@ -390,13 +389,13 @@ class EzReport:
         return max(self.vv_max, self.vw_max, self.ww_max, self.uu_minus_two_max)
 
 
-def _lambda5(memo: SpinMemo, n: int, method: str) -> np.ndarray:
+def _lambda5(memo: SpinMemo, method: str) -> np.ndarray:
     """lambda of the 5-d [v1, v2], z-independent: once per state and method, kept
     read-only like the other memo arrays."""
     lam5 = memo.lambdas.get(method)
     if lam5 is None:
         v1, h, v2 = memo.triple
-        lam5 = lambda_field(h, courant_bracket_grid(v1, v2, n, method))
+        lam5 = lambda_field(h, courant_bracket_grid(v1, v2, method))
         lam5.flags.writeable = False
         memo.lambdas[method] = lam5
     return lam5
@@ -413,17 +412,17 @@ def ez_check(slices: Sequence[SigmaSlice], method: str = "spectral") -> EzReport
     prev, mid, nxt, dt = central_window(slices)
 
     # first, so that the kept array is not allocated amid this call's temporaries
-    lam5 = _lambda5(mid.spin, mid.n, method)
+    lam5 = _lambda5(mid.spin, method)
     out, term = mid.ws.out, mid.ws.term
     v, w = _spatial(mid.v_z), _spatial(mid.w_z)
-    vv = _max_abs(section_inner(v, v, DIM, out[0], term))
-    vw = _max_abs(section_inner(v, w, DIM, out[0], term))
-    ww = _max_abs(section_inner(mid.w_z, mid.w_z, DIM6, out[0], term))
+    vv = _max_abs(section_inner(v, v, out[0], term))
+    vw = _max_abs(section_inner(v, w, out[0], term))
+    ww = _max_abs(section_inner(mid.w_z, mid.w_z, out[0], term))
     # (u,u) = 2 and (d/dt-2dt, d/dt-2dt) = -2 feed (w,w) = 0; u = -w on the spatial slots
-    uu = section_inner(w, w, DIM, out[0], term)
+    uu = section_inner(w, w, out[0], term)
     uu_minus_two = _max_abs(np.subtract(uu, 2.0, out=uu))
     residual = courant_bracket_6d([s.w_z for s in (prev, mid, nxt)],
-                                  [s.v_z for s in (prev, mid, nxt)], mid.n, dt, method, mid.ws)
+                                  [s.v_z for s in (prev, mid, nxt)], dt, method, mid.ws)
     residual -= np.multiply(mid.v_z, lam5, out=out[2 * DIM6:4 * DIM6])
     return EzReport(
         z=mid.z,
@@ -432,7 +431,7 @@ def ez_check(slices: Sequence[SigmaSlice], method: str = "spectral") -> EzReport
         vw_max=vw,
         ww_max=ww,
         uu_minus_two_max=uu_minus_two,
-        bracket_residual=grid_norm(residual, lattice_cell_volume(mid.n), out=residual),
+        bracket_residual=grid_norm(residual, out=residual),
         lambda_max=_max_abs(lam5),
     )
 
@@ -450,15 +449,14 @@ def dsigma_residual(slices: Sequence[SigmaSlice], method: str = "spectral") -> f
     out, term = mid.ws.out, mid.ws.term[0]
     rho_at, hat_at = maps["even5_even6"], maps["odd5_dt_even6"]
     dt_part = [out[k] for k in maps["even5_dt_odd6"]]
-    grid_d([mid.sigma[k] for k in rho_at], 0, mid.n, method,
-           [out[k] for k in maps["odd5_odd6"]], term)
+    grid_d([mid.sigma[k] for k in rho_at], 0, method, [out[k] for k in maps["odd5_odd6"]], term)
     # -d5 rho_hat(z) first, then + d rho(z)/dt: the same sum as d rho/dt - d5 rho_hat
-    grid_d([mid.sigma[k] for k in hat_at], 1, mid.n, method, dt_part, term, sign=-1)
+    grid_d([mid.sigma[k] for k in hat_at], 1, method, dt_part, term, sign=-1)
     for k, acc in zip(rho_at, dt_part):
         np.subtract(nxt.sigma[k], prev.sigma[k], out=term)
         term /= 2 * dt
         acc += term
-    return grid_norm(out, lattice_cell_volume(mid.n), out=out)
+    return grid_norm(out, out=out)
 
 
 @dataclass
@@ -498,7 +496,7 @@ def check_trajectory(source: Trajectory | Sequence[GridState],
     if memo.signature is None:
         memo.signature = _triple_signature(memo.triple)
     if len(states) >= 3:
-        _lambda5(memos[-2], states[-2].n, method)
+        _lambda5(memos[-2], method)
     if memo.workspace is None or len(memo.workspace.slices) < len(states):
         memo.workspace = ZWorkspace(states[0].rho1.shape[1:], len(states))
     for z in z_values:

@@ -209,10 +209,11 @@ class QTables:
         return out
 
 
-def section_inner(u: np.ndarray, v: np.ndarray, dim: int, out: np.ndarray | None = None,
+def section_inner(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None,
                   term: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise (u, v) = (i_{X_u} xi_v + i_{X_v} xi_u)/2 for numeric fields, written
-    into ``out`` if given, with ``term`` (two fields) as scratch."""
+    """Pointwise (u, v) = (i_{X_u} xi_v + i_{X_v} xi_u)/2 for sections of 2 dim slot
+    fields, written into ``out`` if given, with ``term`` (two fields) as scratch."""
+    dim = len(u) // 2
     out = np.empty(u.shape[1:], u.dtype) if out is None else out
     term = np.empty((2,) + u.shape[1:], u.dtype) if term is None else term
     for i in range(dim):

@@ -5,15 +5,18 @@ up in the owning module or class dict; a deleted or renamed function breaks
 ``bench/run.py --trace 1`` and ``python3 -m pytest bench``.  These tests read
 the table (they edit nothing under ``bench/``) and resolve each name the
 way the tracer does.  ``bench/workloads.py`` judges its ops with copies of
-the CLI's pass thresholds, which must equal the CLI's own.
+the CLI's pass thresholds, which must equal the CLI's own, and
+``bench/run.py:derived_counts`` reads a traced ``grid_d`` call's parity as its
+second positional argument.
 """
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
-from gengeo import cli
+from gengeo import cli, flow
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -50,3 +53,7 @@ def test_the_benchmark_judges_ops_with_the_cli_tolerances():
     workloads = load("workloads")
     names = ("CLOSEDNESS_TOL", "MEAN_MODE_TOL", "SIXDIM_TOL")
     assert [getattr(workloads, n) for n in names] == [getattr(cli, n) for n in names]
+
+
+def test_grid_d_takes_its_parity_second():
+    assert list(inspect.signature(flow.grid_d).parameters)[1] == "parity"

@@ -586,11 +586,52 @@ def test_usage_errors_name_the_option_and_its_limit(capsys, args, message):
 
 
 def test_twisted_dim_1_with_a_cover_file_runs(tmp_path):
-    # only the built-in cover needs dim >= 2
+    # only the built-in cover needs dim >= 2; A_ab = x1 dx1
     cover = tmp_path / "cover.json"
-    cover.write_text(json.dumps({"dim": 1, "charts": ["a", "b"], "A": {}}))
+    cover.write_text(json.dumps({"dim": 1, "charts": ["a", "b"], "A": {"a,b": {"terms": [
+        {"indices": [1], "coeff": [{"exponents": [1], "coeff": 1}]}]}}}))
     assert run_cli(["verify", "twisted", "--dim", "1", "--cases", "2", "--input", str(cover),
                     "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_a_cover_without_an_overlap_exits_2(tmp_path, capsys):
+    # the cocycle and glue checks tested nothing and passed with residual "0" (exit 0)
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"dim": 1, "charts": ["a", "b"], "A": {}}))
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "twisted", "--dim", "1", "--cases", "2", "--input", str(cover),
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: cover.A: no overlap, so the glue checks would test nothing\n")
+    assert not out.exists()
+
+
+def test_every_overlap_of_a_cover_is_glued(tmp_path, monkeypatch):
+    # only the first overlap, (a,b), was glued: a glue that goes wrong on (b,c) passed
+    from gengeo import cli
+
+    def x_dx(j, i):             # x_j dx_i
+        return {"terms": [{"indices": [i], "coeff": [
+            {"exponents": [int(k == j) for k in (1, 2, 3)], "coeff": 1}]}]}
+
+    glue_section = cli.glue_section
+
+    def wrong_on_bc(cover, u, overlap):
+        glued = glue_section(cover, u, overlap)
+        if set(overlap) == {"b", "c"}:
+            glued = glued + GenSection.from_vector(VectorField.coordinate(cover.chart, 0))
+        return glued
+
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"dim": 3, "charts": ["a", "b", "c"],
+                                 "A": {"a,b": x_dx(2, 1), "b,c": x_dx(3, 2)}}))
+    args = ["verify", "twisted", "--dim", "3", "--cases", "3", "--input", str(cover), "--out"]
+    assert run_cli([*args, str(tmp_path / "ok.json")]) == 0
+    monkeypatch.setattr(cli, "glue_section", wrong_on_bc)
+    out = tmp_path / "r.json"
+    assert run_cli([*args, str(out)]) == 1
+    assert [c["id"] for c in read(out)["checks"] if not c["passed"]] == [
+        "glue-round-trip", "glue-inner", "glue-bracket"]
 
 
 def test_exact_check_reads_every_vector_component():

@@ -40,29 +40,29 @@ def perturbed(dt, method):
 # -- reference: the allocating RK4 formula, one new array per operation ----------
 
 
-def reference_rhs(rho1, rho2, n, method, floor, t):
+def reference_rhs(rho1, rho2, method, floor, t):
     qt, ft = q_tables(), form_tables(5)
     q1, q2 = qt.q_apply(rho1), qt.q_apply(rho2)
-    f = section_inner(q1, q2, 5)
+    f = section_inner(q1, q2)
     sign = flow._check_stability(f, floor, t)
     phi = np.sqrt(np.abs(f))
     hat1 = ft.clifford_apply(q1 / phi, rho2, 0) * sign
     hat2 = ft.clifford_apply(q2 / phi, rho1, 0) * (-sign)
-    return grid_d(hat1, 1, n, method), grid_d(hat2, 1, n, method)
+    return grid_d(hat1, 1, method), grid_d(hat2, 1, method)
 
 
 def reference_step(state, method, floor):
-    n, dt, t = state.n, state.dt, state.t
+    dt, t = state.dt, state.t
     r1, r2 = state.rho1, state.rho2
-    k1 = reference_rhs(r1, r2, n, method, floor, t)
-    k2 = reference_rhs(r1 + 0.5 * dt * k1[0], r2 + 0.5 * dt * k1[1], n, method, floor,
+    k1 = reference_rhs(r1, r2, method, floor, t)
+    k2 = reference_rhs(r1 + 0.5 * dt * k1[0], r2 + 0.5 * dt * k1[1], method, floor,
                        t + 0.5 * dt)
-    k3 = reference_rhs(r1 + 0.5 * dt * k2[0], r2 + 0.5 * dt * k2[1], n, method, floor,
+    k3 = reference_rhs(r1 + 0.5 * dt * k2[0], r2 + 0.5 * dt * k2[1], method, floor,
                        t + 0.5 * dt)
-    k4 = reference_rhs(r1 + dt * k3[0], r2 + dt * k3[1], n, method, floor, t + dt)
+    k4 = reference_rhs(r1 + dt * k3[0], r2 + dt * k3[1], method, floor, t + dt)
     new1 = r1 + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
     new2 = r2 + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return GridState(n, new1, new2, t + dt, dt)
+    return GridState(new1, new2, t + dt, dt)
 
 
 def assert_bitwise(got, want):

@@ -130,8 +130,8 @@ def exact_bracket_at_origin(u, v, du, dv, node):
 def test_courant_bracket_grid_matches_exact_bracket_of_taylor_polynomials():
     rng = np.random.default_rng(5)
     u, v = trig_section(rng, 10), trig_section(rng, 10)
-    out = courant_bracket_grid(u, v, N)
-    du, dv = gradient(u, N, "spectral"), gradient(v, N, "spectral")
+    out = courant_bracket_grid(u, v)
+    du, dv = gradient(u, "spectral"), gradient(v, "spectral")
     for node in NODES:
         expected = exact_bracket_at_origin(u, v, du, dv, node)
         got = out[(slice(None),) + node]
@@ -146,8 +146,8 @@ def test_courant_bracket_6d_matches_exact_bracket_of_taylor_polynomials():
     u0, u1, v0, v1 = (trig_section(rng, 12) for _ in range(4))
     u_slices = [u0 + (k - 1) * dt * u1 for k in range(3)]
     v_slices = [v0 + (k - 1) * dt * v1 for k in range(3)]
-    out = courant_bracket_6d(u_slices, v_slices, N, dt)
-    du, dv = (np.concatenate([((s[2] - s[0]) / (2 * dt))[None], gradient(s[1], N, "spectral")])
+    out = courant_bracket_6d(u_slices, v_slices, dt)
+    du, dv = (np.concatenate([((s[2] - s[0]) / (2 * dt))[None], gradient(s[1], "spectral")])
               for s in (u_slices, v_slices))
     for node in NODES:
         expected = exact_bracket_at_origin(u_slices[1], v_slices[1], du, dv, node)

@@ -148,7 +148,7 @@ def test_courant_bracket_6d_time_term():
     for k, s in enumerate(v):
         s[7] = float(k)  # dx1 coefficient growing linearly in t
     dt = 0.5
-    out = courant_bracket_6d(w, v, n, dt)
+    out = courant_bracket_6d(w, v, dt)
     # [d/dt, eta] = d(eta)/dt, central difference (2 - 0)/(2 dt)
     assert np.allclose(out[7], (2.0 - 0.0) / (2 * dt))
     mask = [k for k in range(12) if k != 7]
@@ -230,9 +230,9 @@ def test_bracket_lambda_evaluated_once_per_state_and_method(monkeypatch):
     calls = []
     original = sixdim.courant_bracket_grid
 
-    def spy(u, v, n, method="spectral"):
+    def spy(u, v, method):
         calls.append(method)
-        return original(u, v, n, method)
+        return original(u, v, method)
 
     monkeypatch.setattr(sixdim, "courant_bracket_grid", spy)
     full = check_trajectory(traj)

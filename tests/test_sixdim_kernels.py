@@ -18,7 +18,7 @@ import pytest
 from gengeo import sixdim
 from gengeo.flow import (FlowConfig, bracket_from_derivatives, central_window,
                          courant_bracket_grid, gradient, grid_d, grid_norm, lambda_field,
-                         lattice_cell_volume, run_flow, section_pairing)
+                         run_flow, section_pairing)
 from gengeo.sixdim import (DEFAULT_Z_SWEEP, DIM, DIM6, EzReport, SigmaSlice, SixdimReport,
                            ZWorkspace, annihilator_check, annihilator_nullity, build_sigma,
                            check_trajectory, dsigma_residual, ez_check)
@@ -76,7 +76,7 @@ def ref_build_sigma(states, z, floor=1e-6):
             v_z = v1 + (2 * zf) * h + (zf * zf) * v2
             u_z = (1.0 / zf) * v1 - zf * v2
         w_z = ref_add_dt_section(-ref_section_to_6d(u_z))
-        slices.append(SigmaSlice(z=z, t=state.t, n=state.n, sigma=ref_assemble_sigma(rho_z, hat_z),
+        slices.append(SigmaSlice(z=z, t=state.t, sigma=ref_assemble_sigma(rho_z, hat_z),
                                  v_z=ref_section_to_6d(v_z), w_z=w_z, spin=memo, ws=None))
     return slices
 
@@ -110,30 +110,30 @@ def ref_time_derivative(arrays, dt):
     return (arrays[2] - arrays[0]) / (2 * dt)
 
 
-def ref_spacetime_gradient(slices, n, dt, method):
+def ref_spacetime_gradient(slices, dt, method):
     out = np.empty((DIM6,) + slices[1].shape)
     out[0] = ref_time_derivative(slices, dt)
-    gradient(slices[1], n, method, out=out[1:])
+    gradient(slices[1], method, out=out[1:])
     return out
 
 
-def ref_courant_bracket_6d(u_slices, v_slices, n, dt, method):
-    pairings = [section_pairing(us, vs, DIM6) for us, vs in zip(u_slices, v_slices)]
+def ref_courant_bracket_6d(u_slices, v_slices, dt, method):
+    pairings = [section_pairing(us, vs) for us, vs in zip(u_slices, v_slices)]
     return bracket_from_derivatives(u_slices[1], v_slices[1], *(
-        ref_spacetime_gradient(slices, n, dt, method) for slices in (u_slices, v_slices, pairings)))
+        ref_spacetime_gradient(slices, dt, method) for slices in (u_slices, v_slices, pairings)))
 
 
 def ref_ez_check(slices, method):
     prev, mid, nxt, dt = central_window(slices)
     v1m, hm, v2m = mid.triple
-    lam5 = lambda_field(hm, courant_bracket_grid(v1m, v2m, mid.n, method))
-    vv = section_inner(mid.v_z, mid.v_z, DIM6)
-    vw = section_inner(mid.v_z, mid.w_z, DIM6)
-    ww = section_inner(mid.w_z, mid.w_z, DIM6)
+    lam5 = lambda_field(hm, courant_bracket_grid(v1m, v2m, method))
+    vv = section_inner(mid.v_z, mid.v_z)
+    vw = section_inner(mid.v_z, mid.w_z)
+    ww = section_inner(mid.w_z, mid.w_z)
     u_mid = ref_add_dt_section(-mid.w_z)
-    uu = section_inner(u_mid, u_mid, DIM6)
+    uu = section_inner(u_mid, u_mid)
     bracket = ref_courant_bracket_6d([s.w_z for s in (prev, mid, nxt)],
-                                     [s.v_z for s in (prev, mid, nxt)], mid.n, dt, method)
+                                     [s.v_z for s in (prev, mid, nxt)], dt, method)
     residual = bracket - lam5 * mid.v_z
     return EzReport(
         z=mid.z, t=mid.t,
@@ -141,7 +141,7 @@ def ref_ez_check(slices, method):
         vw_max=float(np.max(np.abs(vw))),
         ww_max=float(np.max(np.abs(ww))),
         uu_minus_two_max=float(np.max(np.abs(uu - 2.0))),
-        bracket_residual=grid_norm(residual, lattice_cell_volume(mid.n)),
+        bracket_residual=grid_norm(residual),
         lambda_max=float(np.max(np.abs(lam5))),
     )
 
@@ -150,15 +150,15 @@ def ref_dsigma_residual(slices, method):
     prev, mid, nxt, dt = central_window(slices)
     maps = sixdim._index_maps()
     rho = [ref_rho_z(s) for s in (prev, mid, nxt)]
-    spatial = grid_d(rho[1], 0, mid.n, method)
+    spatial = grid_d(rho[1], 0, method)
     dt_part = ref_time_derivative(rho, dt)
-    dt_part -= grid_d(ref_hat_z(mid), 1, mid.n, method)
+    dt_part -= grid_d(ref_hat_z(mid), 1, method)
     residual = np.zeros((form_tables(DIM6).n_odd,) + mid.sigma.shape[1:])
     for src, dst in enumerate(maps["odd5_odd6"]):
         residual[dst] += spatial[src]
     for src, dst in enumerate(maps["even5_dt_odd6"]):
         residual[dst] += dt_part[src]
-    return grid_norm(residual, lattice_cell_volume(mid.n))
+    return grid_norm(residual)
 
 
 def ref_triple_signature(triple):
@@ -167,7 +167,7 @@ def ref_triple_signature(triple):
     gram = np.zeros(v1.shape[1:] + (4, 4))
     for i in range(4):
         for j in range(4):
-            gram[..., i, j] = section_inner(basis[i], basis[j], DIM6)
+            gram[..., i, j] = section_inner(basis[i], basis[j])
     eig = np.linalg.eigvalsh(gram.reshape(-1, 4, 4))
     scale = np.max(np.abs(eig))
     pos = (eig > 1e-9 * scale).sum(axis=1)

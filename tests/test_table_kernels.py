@@ -5,8 +5,8 @@ writes, +-4/+-1 folding and sign folding: zero the output, then add or
 subtract one term buffer per entry.  The fields carry exact zeros, -0 and
 whole zero nodes.
 
-``grid_d`` (any parity, method and sign) and ``p_apply`` must equal their
-references bit for bit, sign bits of zeros included.  ``clifford_apply``,
+``grid_d`` (any parity, method and sign), ``p_apply`` and ``section_pairing``
+must equal their references bit for bit, sign bits of zeros included.  ``clifford_apply``,
 ``q_apply`` and ``section_inner`` write their first term straight into the
 output instead of adding it to +0, so an output that is exactly zero can be
 -0 where the loop gave +0; every other bit must agree.  Nothing reads the
@@ -17,7 +17,7 @@ of ``grid_d``, which accumulate from +0.
 import numpy as np
 import pytest
 
-from gengeo.flow import DIM, _axis_derivative, derivative_matrix, grid_d
+from gengeo.flow import DIM, _axis_derivative, derivative_matrix, grid_d, section_pairing
 from gengeo.tables import form_tables, q_tables, section_inner
 
 
@@ -103,6 +103,15 @@ def reference_inner(u, v, dim):
     return out
 
 
+def reference_pairing(u, v, dim):
+    """i_{X_u} xi_v - i_{X_v} xi_u, node by node in Python floats."""
+    out = np.zeros(u.shape[1:])
+    for node in np.ndindex(out.shape):
+        for a in range(dim):
+            out[node] += u[a][node] * v[dim + a][node] - v[a][node] * u[dim + a][node]
+    return out
+
+
 # -- comparisons -----------------------------------------------------------------
 
 
@@ -113,9 +122,9 @@ def reference_inner(u, v, dim):
 def test_grid_d_equals_the_loop_on_the_signed_fields(n, method, parity, sign):
     fields = field(np.random.default_rng(n + 2 * parity), 16, n)
     want = reference_grid_d(fields * sign, parity, n, method)
-    assert_bitwise(grid_d(fields, parity, n, method, sign=sign), want)
+    assert_bitwise(grid_d(fields, parity, method, sign=sign), want)
     out, term = np.full_like(want, np.nan), np.full_like(want[0], np.nan)
-    assert_bitwise(grid_d(fields, parity, n, method, out, term, sign), want)
+    assert_bitwise(grid_d(fields, parity, method, out, term, sign), want)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -156,9 +165,10 @@ def test_section_inner_equals_the_loop(n, dim):
     rng = np.random.default_rng(40 + n + dim)
     u, v = field(rng, 2 * dim, n), field(rng, 2 * dim, n)
     want = reference_inner(u, v, dim)
-    assert_bitwise_but_zero_signs(section_inner(u, v, dim), want)
+    assert_bitwise_but_zero_signs(section_inner(u, v), want)
     # (u, u) with a zero node: every term there is a zero product
-    assert_bitwise_but_zero_signs(section_inner(u, u, dim), reference_inner(u, u, dim))
+    assert_bitwise_but_zero_signs(section_inner(u, u), reference_inner(u, u, dim))
+    assert_bitwise(section_pairing(u, v), reference_pairing(u, v, dim))
 
 
 def test_folded_coefficients_are_powers_of_two():

@@ -72,5 +72,5 @@ def test_section_inner_matches_symbolic():
     rng = random.Random(29)
     u = random_section(c, rng)
     v = random_section(c, rng)
-    numeric = section_inner(sec_to_vec(u, PT), sec_to_vec(v, PT), 5)
+    numeric = section_inner(sec_to_vec(u, PT), sec_to_vec(v, PT))
     assert np.allclose(numeric, float(gv_inner(u, v).evaluate(PT)))
