@@ -56,7 +56,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .spin55 import StabilityError, normal_form
-from .tables import form_tables, q_tables, section_inner
+from .tables import form_tables, q_tables, section_dim, section_inner
 
 DIM = 5
 N_COEFF = 16
@@ -727,7 +727,7 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
 
 def section_pairing(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pointwise i_{X_u} xi_v - i_{X_v} xi_u of sections (2 dim, grid)."""
-    dim = len(u) // 2
+    dim = section_dim(u, v)
     acc = np.zeros_like(u[0])
     for a in range(dim):
         acc += u[a] * v[dim + a] - v[a] * u[dim + a]

@@ -209,11 +209,18 @@ class QTables:
         return out
 
 
+def section_dim(u, v) -> int:
+    """dim of two sections of 2 dim slot fields each; other slot counts are a ValueError."""
+    if len(u) != len(v) or len(u) % 2:
+        raise ValueError(f"sections need the same even number of slots, got {len(u)} and {len(v)}")
+    return len(u) // 2
+
+
 def section_inner(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None,
                   term: np.ndarray | None = None) -> np.ndarray:
     """Pointwise (u, v) = (i_{X_u} xi_v + i_{X_v} xi_u)/2 for sections of 2 dim slot
     fields, written into ``out`` if given, with ``term`` (two fields) as scratch."""
-    dim = len(u) // 2
+    dim = section_dim(u, v)
     out = np.empty(u.shape[1:], u.dtype) if out is None else out
     term = np.empty((2,) + u.shape[1:], u.dtype) if term is None else term
     for i in range(dim):

@@ -27,8 +27,8 @@ class CoverError(ValueError):
 class CoverData:
     """Chart labels, overlap 1-forms A_ab, and optional curving 2-forms B_a.
 
-    A is stored for ordered overlaps; A_ba is synthesized as -A_ab when
-    only one orientation is given, and validated when both are.
+    Each overlap is stored once, in the orientation first given; A_ba is
+    read as -A_ab, and a second orientation given is validated, not stored.
     """
 
     def __init__(self, chart: Chart, labels: Sequence[str],
@@ -45,13 +45,11 @@ class CoverData:
             chart.require_same(form.chart)
             if not (form.is_zero or form.is_homogeneous(1)):
                 raise CoverError(f"A_({a},{b}) must be a 1-form")
-            self.overlaps[(a, b)] = form
-        for (a, b), form in list(self.overlaps.items()):
             rev = self.overlaps.get((b, a))
             if rev is None:
-                self.overlaps[(b, a)] = -form
+                self.overlaps[(a, b)] = form
             elif rev != -form:
-                raise CoverError(f"A_({b},{a}) != -A_({a},{b})")
+                raise CoverError(f"A_({a},{b}) != -A_({b},{a})")
         self.curving: dict[str, MixedForm] | None = None
         if curving is not None:
             self.curving = {}
@@ -66,19 +64,32 @@ class CoverData:
             if missing:
                 raise CoverError(f"curving missing for charts {sorted(missing)}")
 
+    def meet(self, a: str, b: str) -> bool:
+        return (a, b) in self.overlaps or (b, a) in self.overlaps
+
     def overlap_form(self, a: str, b: str) -> MixedForm:
-        try:
+        if (a, b) in self.overlaps:
             return self.overlaps[(a, b)]
-        except KeyError:
-            raise CoverError(f"unknown overlap ({a},{b})") from None
+        if (b, a) in self.overlaps:
+            return -self.overlaps[(b, a)]
+        raise CoverError(f"unknown overlap ({a},{b})")
 
     def triples(self) -> list[tuple[str, str, str]]:
-        out = []
-        for a, b, c in combinations(self.labels, 3):
-            if ((a, b) in self.overlaps and (b, c) in self.overlaps
-                    and (c, a) in self.overlaps):
-                out.append((a, b, c))
-        return out
+        return [(a, b, c) for a, b, c in combinations(self.labels, 3)
+                if self.meet(a, b) and self.meet(b, c) and self.meet(c, a)]
+
+    def walk(self) -> list[Overlap]:
+        """Breadth first from the first chart: the overlap (a, b) first reaching each chart b."""
+        reached, steps = [self.labels[0]], []
+        for a in reached:
+            for b in self.labels:
+                if b not in reached and self.meet(a, b):
+                    reached.append(b)
+                    steps.append((a, b))
+        if len(reached) < len(self.labels):
+            missing = [a for a in self.labels if a not in reached]
+            raise CoverError(f"charts {missing} are not joined to chart {reached[0]!r} by overlaps")
+        return steps
 
 
 @dataclass
@@ -107,10 +118,9 @@ def check_cocycle(cover: CoverData) -> CocycleReport:
                + exterior_derivative(cover.overlap_form(c, a)))
         report.triple_residuals[(a, b, c)] = res
     if cover.curving is not None:
-        for (a, b) in cover.overlaps:
-            res = (cover.curving[b] - cover.curving[a]
-                   - exterior_derivative(cover.overlap_form(a, b)))
-            report.curving_residuals[(a, b)] = res
+        for (a, b), form in cover.overlaps.items():
+            report.curving_residuals[(a, b)] = (cover.curving[b] - cover.curving[a]
+                                                - exterior_derivative(form))
         h_forms = [exterior_derivative(cover.curving[a]) for a in cover.labels]
         if all(h == h_forms[0] for h in h_forms):
             report.curvature = h_forms[0]
@@ -145,8 +155,8 @@ def globalize_with_curving(phis: Mapping[str, MixedForm], cover: CoverData) -> d
     for a in cover.labels:
         if a not in phis:
             raise CoverError(f"missing section on chart {a!r}")
-    for (a, b) in cover.overlaps:
-        if phis[a] != bfield_on_form(exterior_derivative(cover.overlap_form(a, b)), phis[b]):
+    for (a, b), form in cover.overlaps.items():
+        if phis[a] != bfield_on_form(exterior_derivative(form), phis[b]):
             raise CoverError(f"inconsistent sections: phi_{a} != e^(dA_{a}{b}) phi_{b}")
     psis = {a: bfield_on_form(cover.curving[a], phis[a]) for a in cover.labels}
     reference = psis[cover.labels[0]]

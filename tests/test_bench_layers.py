@@ -7,16 +7,18 @@ the table (they edit nothing under ``bench/``) and resolve each name the
 way the tracer does.  ``bench/workloads.py`` judges its ops with copies of
 the CLI's pass thresholds, which must equal the CLI's own, and
 ``bench/run.py:derived_counts`` reads a traced ``grid_d`` call's parity as its
-second positional argument.
+second positional argument.  The workloads' ops call the library positionally
+and read report fields by name; the last two tests run those ops here.
 """
 
 import importlib
 import importlib.util
 import inspect
+import random
 import sys
 from pathlib import Path
 
-from gengeo import cli, flow
+from gengeo import cli, flow, sixdim
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -57,3 +59,21 @@ def test_the_benchmark_judges_ops_with_the_cli_tolerances():
 
 def test_grid_d_takes_its_parity_second():
     assert list(inspect.signature(flow.grid_d).parameters)[1] == "parity"
+
+
+def test_the_exact_suite_ops_pass():
+    # the positional calls of twisted_suite, skew_torsion_suite, identities_suite and
+    # spin55_analyze at dims 3, 4 and 5
+    solution = load("workloads").ExactSuite(0).solve(0)
+    assert (solution.op_ok, solution.errors) == ([True] * 12, [])
+
+
+def test_the_sixdim_verdict_reads_the_report_of_a_short_nahm_run():
+    workloads = load("workloads")
+    traj = flow.run_flow(flow.FlowConfig(
+        n=4, dt=workloads.FLOW_DT, steps=2, epsilon=workloads.FLOW_EPSILON,
+        perturbation=workloads.perturbation_modes(random.Random(0)),
+        diagnostics=("hamiltonian", "mean-modes", "closedness", "nahm"),
+        ring=workloads.SIXDIM_RING))
+    for z in sixdim.DEFAULT_Z_SWEEP:
+        assert workloads.FlowSixdim._verdict(sixdim.check_trajectory(traj, [z]), str(z)) is None

@@ -606,13 +606,27 @@ def test_a_cover_without_an_overlap_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def x_dx(j, i, coeff=1):        # coeff x_j dx_i on the 3-chart
+    return {"indices": [i], "coeff": [
+        {"exponents": [int(k == j) for k in (1, 2, 3)], "coeff": coeff}]}
+
+
+def dx_dx(i, j, coeff=1):       # coeff dx_i dx_j
+    return {"indices": [i, j], "coeff": coeff}
+
+
+def write_cover(path, charts, overlaps, curvings=None):
+    obj = {"dim": 3, "charts": charts, "A": {k: {"terms": [t]} for k, t in overlaps.items()}}
+    if curvings is not None:
+        obj["B"] = {a: {"terms": terms} for a, terms in curvings.items()}
+    path.write_text(json.dumps(obj))
+    return ["verify", "twisted", "--dim", "3", "--cases", "3", "--input", str(path), "--out",
+            str(path.with_suffix(".out.json"))]
+
+
 def test_every_overlap_of_a_cover_is_glued(tmp_path, monkeypatch):
     # only the first overlap, (a,b), was glued: a glue that goes wrong on (b,c) passed
     from gengeo import cli
-
-    def x_dx(j, i):             # x_j dx_i
-        return {"terms": [{"indices": [i], "coeff": [
-            {"exponents": [int(k == j) for k in (1, 2, 3)], "coeff": 1}]}]}
 
     glue_section = cli.glue_section
 
@@ -622,16 +636,58 @@ def test_every_overlap_of_a_cover_is_glued(tmp_path, monkeypatch):
             glued = glued + GenSection.from_vector(VectorField.coordinate(cover.chart, 0))
         return glued
 
-    cover = tmp_path / "cover.json"
-    cover.write_text(json.dumps({"dim": 3, "charts": ["a", "b", "c"],
-                                 "A": {"a,b": x_dx(2, 1), "b,c": x_dx(3, 2)}}))
-    args = ["verify", "twisted", "--dim", "3", "--cases", "3", "--input", str(cover), "--out"]
-    assert run_cli([*args, str(tmp_path / "ok.json")]) == 0
+    args = write_cover(tmp_path / "cover.json", ["a", "b", "c"],
+                       {"a,b": x_dx(2, 1), "b,c": x_dx(3, 2)})
+    assert run_cli(args) == 0
     monkeypatch.setattr(cli, "glue_section", wrong_on_bc)
-    out = tmp_path / "r.json"
-    assert run_cli([*args, str(out)]) == 1
-    assert [c["id"] for c in read(out)["checks"] if not c["passed"]] == [
+    assert run_cli(args) == 1
+    assert [c["id"] for c in read(args[-1])["checks"] if not c["passed"]] == [
         "glue-round-trip", "glue-inner", "glue-bracket"]
+
+
+def test_a_chain_of_charts_globalizes(tmp_path):
+    # A_ab = x2 dx1 and A_bc = x3 dx2, so dA_ab = -dx1 dx2 and dA_bc = -dx2 dx3; chart c
+    # meets only b, and globalize-curving failed with "unknown overlap (a,c)" (exit 1)
+    args = write_cover(tmp_path / "chain.json", ["a", "b", "c"],
+                       {"a,b": x_dx(2, 1), "b,c": x_dx(3, 2)},
+                       {"a": [], "b": [dx_dx(1, 2, -1)], "c": [dx_dx(1, 2, -1), dx_dx(2, 3, -1)]})
+    assert run_cli(args) == 0
+    assert read(args[-1])["checks"][-1]["id"] == "globalize-curving"
+
+
+def test_a_split_cover_with_curvings_exits_2(tmp_path, capsys):
+    # charts c and d meet no chart that a meets: globalize-curving failed with
+    # "unknown overlap (a,c)" (exit 1); without curvings every overlap is still glued
+    overlaps = {"a,b": x_dx(2, 1), "c,d": x_dx(3, 2)}
+    args = write_cover(tmp_path / "split.json", ["a", "b", "c", "d"], overlaps,
+                       {"a": [], "b": [dx_dx(1, 2, -1)], "c": [], "d": [dx_dx(2, 3, -1)]})
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err == (
+        "input error: cover: charts ['c', 'd'] are not joined to chart 'a' by overlaps, "
+        "so no single section globalizes\n")
+    assert not Path(args[-1]).exists()
+    args = write_cover(tmp_path / "uncurved.json", ["a", "b", "c", "d"], overlaps)
+    assert run_cli(args) == 0
+    assert read(args[-1])["checks"][-1]["id"] == "glue-bracket"
+
+
+def test_an_overlap_given_both_ways_is_glued_once(tmp_path, monkeypatch):
+    # each case glues u, v, u back and [u, v] across each of the two overlaps once
+    from gengeo import cli
+
+    calls = []
+    glue_section = cli.glue_section
+
+    def spy(cover, u, overlap):
+        calls.append(overlap)
+        return glue_section(cover, u, overlap)
+
+    monkeypatch.setattr(cli, "glue_section", spy)
+    args = write_cover(tmp_path / "both.json", ["a", "b", "c"],
+                       {"a,b": x_dx(2, 1), "b,a": x_dx(2, 1, -1), "c,b": x_dx(3, 2)})
+    assert run_cli(args) == 0
+    assert len(calls) == 4 * 3 * 2
+    assert set(calls) == {("a", "b"), ("b", "a"), ("c", "b"), ("b", "c")}
 
 
 def test_exact_check_reads_every_vector_component():

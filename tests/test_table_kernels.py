@@ -171,6 +171,18 @@ def test_section_inner_equals_the_loop(n, dim):
     assert_bitwise(section_pairing(u, v), reference_pairing(u, v, dim))
 
 
+@pytest.mark.parametrize("kernel", [section_inner, section_pairing])
+@pytest.mark.parametrize("u_slots, v_slots", [(10, 12), (12, 10), (11, 11)])
+def test_section_kernels_refuse_sections_of_other_lengths(kernel, u_slots, v_slots):
+    # a 10- and a 12-slot pair read the 6-d slots as 5-d ones (section_inner gave
+    # [45, 50]), the swapped pair raised an IndexError and an 11-slot pair dropped
+    # its last slot
+    u, v = np.ones((u_slots, 2)), np.arange(2.0 * v_slots).reshape(v_slots, 2)
+    with pytest.raises(ValueError, match=f"the same even number of slots, got {u_slots} "
+                                         f"and {v_slots}"):
+        kernel(u, v)
+
+
 def test_folded_coefficients_are_powers_of_two():
     # q_apply scales each slot by its first +-4 once and p_apply applies the
     # halves +-1 of q_entries as additions; both are exact only for these values

@@ -59,8 +59,58 @@ def test_cover_validation():
         CoverData(c, ["a", "b"], {("a", "z"): dx(c, 1)})
     with pytest.raises(CoverError):
         CoverData(c, ["a", "b"], {("a", "b"): dx(c, 1, 2)})
-    with pytest.raises(CoverError):
+    with pytest.raises(CoverError, match=r"^A_\(b,a\) != -A_\(a,b\)$"):
         CoverData(c, ["a", "b"], {("a", "b"): dx(c, 1), ("b", "a"): dx(c, 1)})
+
+
+def test_an_overlap_given_both_ways_is_stored_once():
+    c = c4()
+    a_ab = MixedForm.basis(c, (1,), Polynomial.coordinate(c, 0))
+    cover = CoverData(c, ["a", "b"], {("a", "b"): a_ab, ("b", "a"): -a_ab})
+    assert list(cover.overlaps) == [("a", "b")]
+    assert cover.overlap_form("a", "b") == a_ab
+    assert cover.overlap_form("b", "a") == -a_ab
+    with pytest.raises(CoverError, match=r"unknown overlap \(a,c\)"):
+        cover.overlap_form("a", "c")
+
+
+def test_a_triangle_given_in_any_orientation_is_found():
+    c = c4()
+    x1, x2, x3 = (Polynomial.coordinate(c, i) for i in range(3))
+    a_ab, a_bc, a_ac = (MixedForm.basis(c, (1,), x1), MixedForm.basis(c, (2,), x2),
+                        MixedForm.basis(c, (3,), x3))
+    cover = CoverData(c, ["a", "b", "c"], {("a", "b"): a_ab, ("b", "c"): a_bc, ("a", "c"): a_ac})
+    assert cover.triples() == [("a", "b", "c")]
+    assert check_cocycle(cover).triple_residuals == {("a", "b", "c"): (
+        exterior_derivative(a_ab) + exterior_derivative(a_bc) - exterior_derivative(a_ac))}
+
+
+def test_curving_residuals_hold_one_key_per_given_overlap():
+    c = c4()
+    a_ab = MixedForm.basis(c, (1,), Polynomial.coordinate(c, 0))
+    zero = MixedForm.zero(c)
+    cover = CoverData(c, ["a", "b", "c"], {("a", "b"): a_ab, ("b", "a"): -a_ab,
+                                           ("c", "b"): zero},
+                      curving={"a": zero, "b": exterior_derivative(a_ab),
+                               "c": exterior_derivative(a_ab)})
+    report = check_cocycle(cover)
+    assert list(report.curving_residuals) == [("a", "b"), ("c", "b")]
+    assert report.valid
+
+
+def test_the_walk_reaches_each_chart_along_the_overlaps():
+    c = c4()
+    zero = MixedForm.zero(c)
+    chain = CoverData(c, ["a", "b", "c", "d"],
+                      {("c", "d"): zero, ("b", "c"): zero, ("b", "a"): zero})
+    assert chain.walk() == [("a", "b"), ("b", "c"), ("c", "d")]
+    star = CoverData(c, ["a", "b", "c"], {("a", "c"): zero, ("b", "a"): zero})
+    assert star.walk() == [("a", "b"), ("a", "c")]
+    assert CoverData(c, ["a"], {}).walk() == []
+    split = CoverData(c, ["a", "b", "c", "d"], {("a", "b"): zero, ("c", "d"): zero})
+    with pytest.raises(CoverError, match=r"^charts \['c', 'd'\] are not joined to chart 'a' "
+                                         r"by overlaps$"):
+        split.walk()
 
 
 def test_glue_section_round_trips():
