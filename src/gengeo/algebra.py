@@ -40,10 +40,6 @@ class Chart:
         if type(self.dim) is not int or not 1 <= self.dim <= MAX_DIM:
             raise ValueError(f"chart dimension must be an integer in 1..{MAX_DIM}: {self.dim!r}")
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(f"x{i+1}" for i in range(self.dim))
-
     def require_same(self, other: "Chart") -> None:
         if self is not other and self != other:
             raise ChartMismatchError(f"chart mismatch: {self} vs {other}")

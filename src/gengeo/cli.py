@@ -589,16 +589,29 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        outputs = [args.out] + ([args.trajectory, args.csv] if args.command == "flow" else [])
-        for path in filter(None, outputs):
-            with gio.writing(path):     # a missing directory or a directory exits 2 before any work
-                os.scandir(os.path.dirname(path) or ".").close()
-                if os.path.isdir(path):
-                    raise IsADirectoryError(path)
+        # the inputs come first; an output that names a file named before it, or that is
+        # in a missing directory or is a directory, exits 2 before any work
+        outputs = ("trajectory", "out", "csv") if args.command == "flow" else ("out",)
+        named: dict[str, str] = {}      # the real path of each file named so far -> its option
+        for option in ("config", "input", "points", "rho", "trajectory", "out", "csv"):
+            path = getattr(args, option, None)
+            if not path:
+                continue
+            real = os.path.realpath(path)
+            if option in outputs:
+                if real in named:
+                    raise gio.InputError(f"{path}: --{option} names the same file as {named[real]}")
+                with gio.writing(path):
+                    os.scandir(os.path.dirname(path) or ".").close()
+                    if os.path.isdir(path):
+                        raise IsADirectoryError(path)
+            named.setdefault(real, "the rho file" if option == "rho" else f"--{option}")
         if args.command == "verify" and args.suite == "identities":
             return emit(identities_suite(args.dim, args.cases, args.seed, args.max_degree),
                         args.out)
         if args.command == "verify" and args.suite == "skew-torsion":
+            if args.points and not args.input:
+                parser.error("--points is read only with --input")
             if args.input:
                 return emit(skew_torsion_file(args.input, args.points), args.out)
             return emit(skew_torsion_suite(args.dim, args.metrics, args.sample_points,
@@ -608,6 +621,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 parser.error(f"--dim: the built-in cover needs dim >= 2, got {args.dim}")
             return emit(twisted_suite(args.dim, args.cases, args.seed, args.input), args.out)
         if args.command == "spin55":
+            if args.rho and args.normal_form:
+                parser.error("spin55 analyze takes a rho file or --normal-form, not both")
             if args.normal_form:
                 rho = normal_form()
             elif args.rho:

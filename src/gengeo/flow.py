@@ -352,23 +352,13 @@ def grid_d(fields: np.ndarray, parity: int, method: str = "spectral",
 # -- pointwise spin geometry on the grid -----------------------------------------
 
 
-@dataclass
-class PointwiseSpin:
-    """Nodewise Q1 = Q(rho1), Q2 = Q(rho2), f = (Q1, Q2), phi = sqrt|f| and the orbit sign."""
-
-    q1: np.ndarray
-    q2: np.ndarray
-    f: np.ndarray
-    phi: np.ndarray
-    sign: int
-
-
 class Workspace:
-    """The buffers of the pointwise spin and flow kernels on one grid (the node shape
-    of the fields): Q1, Q2, f, phi and two scalar term fields, one per half; per half,
-    v = Q/phi (2, 10, grid) and one scalar hat component; the RK4 stage input and
-    slopes, each a (rho1, rho2) pair of shape (2, 16, grid).  Calls that share one
-    Workspace must not run concurrently."""
+    """A state's pointwise spin and the buffers of the flow kernels on one grid (the
+    node shape of the fields): nodewise Q1 = Q(rho1), Q2 = Q(rho2), f = (Q1, Q2),
+    phi = sqrt|f|, the orbit sign and min|f|, as ``_pointwise_spin`` last wrote them;
+    two scalar term fields, one per half; per half, v = Q/phi (2, 10, grid) and one
+    scalar hat component; the RK4 stage input and slopes, each a (rho1, rho2) pair of
+    shape (2, 16, grid).  Calls that share one Workspace must not run concurrently."""
 
     def __init__(self, grid: tuple[int, ...]):
         self.q1, self.q2 = (np.empty((2 * DIM,) + grid) for _ in range(2))
@@ -394,7 +384,8 @@ def _node(flat_index: int, shape: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(int(i) for i in np.unravel_index(flat_index, shape))
 
 
-def _check_stability(f: np.ndarray, floor: float, t: float) -> int:
+def _check_stability(f: np.ndarray, floor: float, t: float) -> tuple[int, float]:
+    """(orbit sign, min|f|) of f; StabilityError unless f is stable above floor."""
     fmin = float(np.min(np.abs(f)))         # NaN if any f is NaN
     if not math.isfinite(fmin):
         node = _node(int(np.argmax(~np.isfinite(f))), f.shape)
@@ -406,29 +397,29 @@ def _check_stability(f: np.ndarray, floor: float, t: float) -> int:
     if signs.max() != signs.min():
         node = _node(int(np.argmax(signs != signs.flat[0])), f.shape)
         raise StabilityError(f"orbit sign flip at t={t:.6g}, node {node}")
-    return int(signs.flat[0])
+    return int(signs.flat[0]), fmin
 
 
 def _pointwise_spin(rho1: np.ndarray, rho2: np.ndarray, floor: float, t: float,
-                    ws: Workspace | None = None) -> PointwiseSpin:
+                    ws: Workspace | None = None) -> Workspace:
     """The one Q/f evaluation behind rho_hat, the triple, V and the recorded
-    diagnostics, written into ws (a fresh Workspace if None); raises StabilityError
-    where f is not finite, |f| <= floor or the orbit sign flips."""
+    diagnostics: Q1, Q2, f, phi, the orbit sign and min|f| written into ws (a fresh
+    Workspace if None), which it returns; raises StabilityError where f is not
+    finite, |f| <= floor or the orbit sign flips."""
     ws = Workspace(rho1.shape[1:]) if ws is None else ws
-    f = _q_f(rho1, rho2, ws)
-    sign = _check_stability(f, floor, t)
-    phi = np.sqrt(np.abs(f, out=ws.phi), out=ws.phi)
-    return PointwiseSpin(ws.q1, ws.q2, f, phi, sign)
+    ws.sign, ws.min_abs_f = _check_stability(_q_f(rho1, rho2, ws), floor, t)
+    np.sqrt(np.abs(ws.f, out=ws.phi), out=ws.phi)
+    return ws
 
 
-def _v(spin: PointwiseSpin, i: int, rho: Sequence[np.ndarray], v: np.ndarray
+def _v(ws: Workspace, i: int, rho: Sequence[np.ndarray], v: np.ndarray
        ) -> tuple[np.ndarray, int]:
-    """Half i of rho_hat = s (v1.rho2, -v2.rho1): v = Q_i/phi written into ``v`` one
-    component at a time (a broadcast divide would take a ufunc buffer per thread);
-    returns the form v acts on and the sign."""
-    q, other, sign = (spin.q1, rho[1], spin.sign) if i == 0 else (spin.q2, rho[0], -spin.sign)
+    """Half i of rho_hat = s (v1.rho2, -v2.rho1) from ws's spin: v = Q_i/phi written
+    into ``v`` one component at a time (a broadcast divide would take a ufunc buffer
+    per thread); returns the form v acts on and the sign."""
+    q, other, sign = (ws.q1, rho[1], ws.sign) if i == 0 else (ws.q2, rho[0], -ws.sign)
     for qc, vc in zip(q, v):
-        np.divide(qc, spin.phi, out=vc)
+        np.divide(qc, ws.phi, out=vc)
     return other, sign
 
 
@@ -436,14 +427,13 @@ def rho_hat_grid(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6,
                  t: float = 0.0) -> SpinMemo:
     """The state's spin fields at this floor from one Q/f evaluation: nodewise
     rho_hat = s (v1.rho2, -v2.rho1) with v_i = Q_i / phi, and the signed triple."""
-    ws = Workspace(rho1.shape[1:])
-    s = _pointwise_spin(rho1, rho2, floor, t, ws)
+    ws = _pointwise_spin(rho1, rho2, floor, t)
     hats = []
     for i in range(2):
-        other, sign = _v(s, i, (rho1, rho2), ws.v[0])
+        other, sign = _v(ws, i, (rho1, rho2), ws.v[0])
         hats.append(form_tables(DIM).clifford_apply(ws.v[0], other, 0, None, ws.terms[0]))
         hats[i] *= sign
-    return SpinMemo(floor, *hats, signed_triple(rho1, rho2, spin=s))
+    return SpinMemo(floor, *hats, signed_triple(rho1, rho2, spin=ws))
 
 
 class _OnDemand:
@@ -460,13 +450,13 @@ class _OnDemand:
         return self.buf
 
 
-def _slope(spin: PointwiseSpin, i: int, rho: Sequence[np.ndarray], ws: Workspace,
-           out: np.ndarray, method: str) -> None:
-    """Half i of d rho_hat into ``out``: each hat component v.rho is built into ws.hat[i]
-    as ``grid_d`` first reads it, bitwise the components of ``clifford_apply``.  Both
-    use ws.terms[i], one after the other."""
+def _slope(ws: Workspace, i: int, rho: Sequence[np.ndarray], out: np.ndarray,
+           method: str) -> None:
+    """Half i of d rho_hat into ``out`` from ws's spin: each hat component v.rho is built
+    into ws.hat[i] as ``grid_d`` first reads it, bitwise the components of
+    ``clifford_apply``.  Both use ws.terms[i], one after the other."""
     v = ws.v[i]
-    other, sign = _v(spin, i, rho, v)
+    other, sign = _v(ws, i, rho, v)
     ft, term = form_tables(DIM), ws.terms[i]
     by_dst = ft.clifford_by_dst[0]
     hat = _OnDemand(lambda src, buf: ft.clifford_apply(v, other, 0, (buf,), term, by_dst[src]),
@@ -475,10 +465,10 @@ def _slope(spin: PointwiseSpin, i: int, rho: Sequence[np.ndarray], ws: Workspace
 
 
 def signed_triple(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6, t: float = 0.0,
-                  spin: PointwiseSpin | None = None
+                  spin: Workspace | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(v1, h, v2) = s (Q1, P12, Q2) / phi, each a new array of shape (10, grid), from
-    ``spin``, the state's Q/f at this floor, if given."""
+    ``spin``, a Workspace holding the state's spin at this floor, if given."""
     spin = _pointwise_spin(rho1, rho2, floor, t) if spin is None else spin
     scale = spin.sign / spin.phi
     return spin.q1 * scale, q_tables().p_apply(rho1, rho2) * scale, spin.q2 * scale
@@ -488,12 +478,12 @@ def signed_triple(rho1: np.ndarray, rho2: np.ndarray, floor: float = 1e-6, t: fl
 
 
 def flow_step(state: GridState, method: str = "spectral", floor: float = 1e-6,
-              ws: Workspace | None = None, spin: PointwiseSpin | None = None) -> GridState:
+              ws: Workspace | None = None, spin: Workspace | None = None) -> GridState:
     """One classical RK4 step of d rho/dt = d rho_hat, r + (dt/6)(k1 + 2k2 + 2k3 + k4)
     in that order.  Every stage writes into ws (a fresh Workspace if None), so the
     returned pair is the only new array; the input state is never written.  The
-    first stage uses ``spin``, the state's Q/f from ``_pointwise_spin`` at this
-    floor, if given."""
+    first stage uses ``spin``, a Workspace (normally ws) holding the state's spin from
+    ``_pointwise_spin`` at this floor, if given."""
     dt, t = state.dt, state.t
     if dt == 0.0:
         return state.copy()
@@ -501,9 +491,9 @@ def flow_step(state: GridState, method: str = "spectral", floor: float = 1e-6,
     r, stage, k = (state.rho1, state.rho2), ws.stage, ws.k
 
     def slopes(rho: Sequence[np.ndarray], tc: float, out: np.ndarray,
-               spin: PointwiseSpin | None = None) -> None:
+               spin: Workspace | None = None) -> None:
         spin = _pointwise_spin(rho[0], rho[1], floor, tc, ws) if spin is None else spin
-        _halves(lambda i: _slope(spin, i, rho, ws, out[i], method))
+        _halves(lambda i: _slope(spin, i, rho, out[i], method))
 
     def next_stage(i: int, j: int, c: float) -> None:
         np.multiply(k[i] if j else acc[i], c, out=stage[i])
@@ -535,8 +525,7 @@ def hamiltonian(state: GridState, floor: float = 1e-6) -> float:
     docstring), so V enters the diagnostics as a stepper-order probe, not
     a conserved quantity.
     """
-    spin = _pointwise_spin(state.rho1, state.rho2, floor, state.t)
-    return _total_volume(spin.phi)
+    return _total_volume(_pointwise_spin(state.rho1, state.rho2, floor, state.t).phi)
 
 
 def _total_volume(phi: np.ndarray) -> float:
@@ -687,23 +676,23 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
     nahm = "nahm" in config.diagnostics
     triples: deque = deque(maxlen=3)        # signed triples of the last three states
 
-    def record(s: GridState) -> PointwiseSpin:
-        # one Q/f evaluation per state feeds V, min|f|, the orbit sign, the nahm
-        # triple and the next step's first stage (no diagnostic writes ws's Q/f;
-        # closedness writes ws.k, which the next step overwrites before reading)
-        spin = _pointwise_spin(s.rho1, s.rho2, config.stability_floor, s.t, ws)
+    def record(s: GridState) -> None:
+        # one Q/f evaluation per state, its spin in ws, feeds V, min|f|, the orbit sign,
+        # the nahm triple and the next step's first stage (no diagnostic writes ws's
+        # spin; closedness writes ws.k, which the next step overwrites before reading)
+        _pointwise_spin(s.rho1, s.rho2, config.stability_floor, s.t, ws)
         entry: dict = {"t": s.t}
         if "hamiltonian" in config.diagnostics:
-            entry["hamiltonian"] = _total_volume(spin.phi)
+            entry["hamiltonian"] = _total_volume(ws.phi)
         if "mean-modes" in config.diagnostics:
             entry["mean_mode_drift"] = float(np.max(np.abs(mean_modes(s) - mean0)))
         if "closedness" in config.diagnostics:
             entry["d_rho1"], entry["d_rho2"] = closedness_norms(s, config.method, ws)
-        entry["min_abs_f"] = float(np.min(np.abs(spin.f)))
-        entry["orbit_sign"] = spin.sign
+        entry["min_abs_f"] = ws.min_abs_f
+        entry["orbit_sign"] = ws.sign
         traj.diagnostics.append(entry)
         if nahm:
-            triples.append(signed_triple(s.rho1, s.rho2, config.stability_floor, s.t, spin))
+            triples.append(signed_triple(s.rho1, s.rho2, config.stability_floor, s.t, ws))
         traj.ring.append(s)     # frees a full ring's oldest state: earlier was 3% slower at N=8
         if len(triples) == 3:               # the centered residual of the middle state
             r = nahm_residual(traj.states()[-3:], config.method, config.stability_floor, triples)
@@ -711,12 +700,10 @@ def run_flow(config: FlowConfig, on_step: Callable[[GridState], None] | None = N
                 "nahm_v1": r.v1_residual, "nahm_h": r.h_residual,
                 "nahm_v2": r.v2_residual, "lambda_max": r.lambda_max,
             })
-        return spin
-
-    spin = record(state)
+    record(state)
     for _ in range(config.steps):
-        state = flow_step(state, config.method, config.stability_floor, ws, spin)
-        spin = record(state)
+        state = flow_step(state, config.method, config.stability_floor, ws, spin=ws)
+        record(state)
         if on_step is not None:
             on_step(state)
     return traj
@@ -793,15 +780,15 @@ class NahmResidual:
 
 def central_window(items: Sequence) -> tuple[Any, Any, Any, float]:
     """The last three of ``items`` (states or sigma slices, each with a time ``t``)
-    and their time step dt; ValueError unless there are three, uniformly spaced with
-    dt != 0, as central time differences need."""
+    and their time step dt; ValueError unless there are three, uniformly spaced to a
+    relative 1e-5 (however small dt is) with dt != 0, as central time differences need."""
     if len(items) < 3:
         raise ValueError("central time differences need at least 3 states")
     prev, mid, nxt = items[-3:]
     dt = mid.t - prev.t
     if dt == 0:
         raise ValueError("central time differences need dt != 0")
-    if not np.isclose(nxt.t - mid.t, dt):
+    if not np.isclose(nxt.t - mid.t, dt, atol=0):
         raise ValueError("states are not uniformly spaced in time")
     return prev, mid, nxt, dt
 

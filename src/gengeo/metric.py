@@ -234,8 +234,9 @@ def _is_positive_definite(g: list[list[Fraction]]) -> bool:
     return True
 
 
-def random_metric(chart: Chart, rng, eps_degree: int = 1) -> GeneralizedMetric:
-    """Identity plus a small random symmetric part and a random skew part.
+def random_metric(chart: Chart, rng) -> GeneralizedMetric:
+    """Identity plus a small random symmetric part and a random skew part, each with
+    polynomial entries of degree at most 1.
 
     The symmetric perturbation has coefficients in 1/8 Z to keep g invertible
     (diagonally dominant) at the small rational sample points used in suites.
@@ -248,13 +249,13 @@ def random_metric(chart: Chart, rng, eps_degree: int = 1) -> GeneralizedMetric:
         g[i][i] = Polynomial.constant(chart, 1)
     for i in range(n):
         for j in range(i, n):
-            bump = random_polynomial(chart, rng, max_degree=eps_degree, max_terms=2,
+            bump = random_polynomial(chart, rng, max_degree=1, max_terms=2,
                                      coeff_bound=1) * Fraction(1, 8)
             g[i][j] = g[i][j] + bump
             g[j][i] = g[j][i] + bump
     for i in range(n):
         for j in range(i + 1, n):
-            skew = random_polynomial(chart, rng, max_degree=eps_degree, max_terms=2)
+            skew = random_polynomial(chart, rng, max_degree=1, max_terms=2)
             b[i][j] = skew
             b[j][i] = -skew
     return GeneralizedMetric.from_g_and_b(chart, g, b)

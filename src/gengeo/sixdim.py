@@ -189,10 +189,6 @@ class SigmaSlice:
     spin: SpinMemo      # the state's z-independent fields
     ws: ZWorkspace      # the workspace that holds these buffers
 
-    @property
-    def triple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.spin.triple
-
 
 def _spin_memo(state: GridState, floor: float) -> SpinMemo:
     """The state's z-independent hat pair and signed triple, evaluated once per floor.
@@ -310,7 +306,7 @@ def gram_signature(s: SigmaSlice) -> tuple[int, int, int]:
     Returns (positive, negative, zero) eigenvalue counts, uniform over
     nodes; raises SignatureError if the counts vary across the grid.
     """
-    return _triple_signature(s.triple)
+    return _triple_signature(s.spin.triple)
 
 
 def _triple_signature(triple: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[int, int, int]:

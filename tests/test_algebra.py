@@ -19,7 +19,6 @@ def test_chart_validation():
         Chart(0)
     with pytest.raises(ValueError):
         Chart(9)
-    assert Chart(5).names == ("x1", "x2", "x3", "x4", "x5")
 
 
 def test_differentiate_power_rule():

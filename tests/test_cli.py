@@ -246,6 +246,20 @@ def test_sixdim_check_non_uniform_last_states_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sixdim_check_refuses_uneven_tiny_time_steps(tmp_path, capsys):
+    # numpy's default atol = 1e-8 let any spacing pass once |dt| < 1e-8 (exit 0)
+    traj = _flow_trajectory(tmp_path, dt=1e-9)
+    with np.load(traj) as data:
+        members = {key: data[key] for key in data.files}
+    members["times"] = np.array([0.0, 1e-9, 3e-9])
+    bad = tmp_path / "bad.npz"
+    np.savez_compressed(bad, **members)
+    assert run_cli(["sixdim", "check", "--trajectory", str(bad), "--z", "1"]) == 2
+    assert capsys.readouterr().err == "error: states are not uniformly spaced in time\n"
+    assert run_cli(["sixdim", "check", "--trajectory", str(traj), "--z", "1",
+                    "--out", str(tmp_path / "six.json")]) == 0
+
+
 def test_trajectory_is_written_at_the_path_given(tmp_path):
     # numpy's savez added ".npz": the file was noext.npz, the report named noext, and
     # sixdim check on noext exited 2 ("no such file")
@@ -576,8 +590,13 @@ def test_counts_below_1_exit_2(capsys, args):
     (["verify", "twisted", "--dim", "0", "--input", "cover.json"],
      "argument --dim: expected an integer in 1..8, got '0'"),
     (["spin55", "analyze"], "spin55 analyze needs a rho file or --normal-form"),
+    # the next two ignored an option and exited 0, even for a file that does not exist
+    (["verify", "skew-torsion", "--points", "missing.json"], "--points is read only with --input"),
+    (["spin55", "analyze", "missing.json", "--normal-form"],
+     "spin55 analyze takes a rho file or --normal-form, not both"),
 ], ids=["max-degree-negative", "twisted-dim-1", "identities-dim-0", "skew-torsion-dim-9",
-        "twisted-dim-0-with-a-cover", "spin55-analyze-without-a-pair"])
+        "twisted-dim-0-with-a-cover", "spin55-analyze-without-a-pair",
+        "skew-torsion-points-without-an-input", "spin55-analyze-with-a-pair-and-the-normal-form"])
 def test_usage_errors_name_the_option_and_its_limit(capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         run_cli(args)
@@ -882,6 +901,49 @@ def test_an_output_that_is_a_directory_exits_2(tmp_path, capsys, monkeypatch):
         assert f"input error: {tmp_path}: is a directory" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
     assert not os.path.exists(f"{tmp_path}.npz")
+
+
+@pytest.mark.parametrize("args, clash", [
+    # each of the first three exited 0: the report replaced the config or the trajectory,
+    # or the CSV replaced the trajectory the report names
+    (["flow", "run", "--config", "IN", "--out", "IN"], "--out names the same file as --config"),
+    (["sixdim", "check", "--trajectory", "IN", "--out", "IN"],
+     "--out names the same file as --trajectory"),
+    (["flow", "run", "--config", "IN", "--out", "OUT", "--trajectory", "X", "--csv", "X"],
+     "--csv names the same file as --trajectory"),
+    (["flow", "run", "--config", "IN", "--trajectory", "OUT", "--out", "OUT"],
+     "--out names the same file as --trajectory"),
+    (["flow", "run", "--config", "LINK", "--csv", "IN"], "--csv names the same file as --config"),
+    (["verify", "twisted", "--input", "IN", "--out", "DOT"],
+     "--out names the same file as --input"),
+    (["verify", "skew-torsion", "--input", "OTHER", "--points", "IN", "--out", "IN"],
+     "--out names the same file as --points"),
+    (["spin55", "analyze", "IN", "--out", "IN"], "--out names the same file as the rho file"),
+    (["spin55", "analyze", "--normal-form", "--points", "IN", "--out", "IN"],
+     "--out names the same file as --points"),
+], ids=["flow-config", "sixdim-trajectory", "flow-trajectory-csv", "flow-trajectory-out",
+        "flow-config-symlink", "twisted-input-dot-path", "skew-torsion-points", "spin55-rho",
+        "spin55-points"])
+def test_an_output_naming_an_input_or_another_output_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, args, clash):
+    from gengeo import cli
+
+    for name in ("flow_run_report", "sixdim_report", "twisted_suite", "skew_torsion_file",
+                 "spin55_analyze"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+    paths = {"IN": tmp_path / "in.json", "OTHER": tmp_path / "other.json",
+             "OUT": tmp_path / "out.json", "X": tmp_path / "x.npz",
+             "LINK": tmp_path / "link.json", "DOT": tmp_path / "." / "in.json"}
+    paths["IN"].write_text("not read")
+    paths["OTHER"].write_text("not read")
+    paths["LINK"].symlink_to(paths["IN"])
+    before = sorted(os.listdir(tmp_path))
+    argv = [str(paths.get(a, a)) for a in args]
+    assert run_cli(argv) == 2
+    clashing = argv[argv.index(clash.split()[0]) + 1]      # the path of the output named
+    assert capsys.readouterr().err == f"input error: {clashing}: {clash}\n"
+    assert paths["IN"].read_text() == "not read"
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 @pytest.mark.parametrize("z", ["1/0", "1e400", "1e-400", "1e-310"])

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from gengeo import flow
-from gengeo.flow import (FlowConfig, Trajectory, closedness_norms, courant_bracket_grid,
-                         derivative_matrix, flow_step, gradient, grid_d, hamiltonian,
-                         initial_state, nahm_residual, perturbation_forms, rho_hat_grid,
-                         run_flow, signed_triple, spectral_gradient, stability_field)
+from gengeo.flow import (FlowConfig, Trajectory, central_window, closedness_norms,
+                         courant_bracket_grid, derivative_matrix, flow_step, gradient, grid_d,
+                         hamiltonian, initial_state, nahm_residual, perturbation_forms,
+                         rho_hat_grid, run_flow, signed_triple, spectral_gradient,
+                         stability_field)
 from gengeo.spin55 import StabilityError
 from gengeo.tables import form_tables
 
@@ -475,3 +476,25 @@ def test_signed_triple_from_a_workspace_spin_owns_its_arrays():
     assert len(got) == 3 and all(np.array_equal(a, b) for a, b in zip(got, want))
     assert not any(np.shares_memory(a, buf) for a in got
                    for buf in (ws.q1, ws.q2, ws.f, ws.phi, ws.terms, ws.v, ws.hat))
+
+
+def test_pointwise_spin_returns_the_workspace_as_the_states_spin_record():
+    # the orbit sign and min|f| that the stability check computes are kept beside
+    # Q1, Q2, f and phi, so that the recorded diagnostics need no second pass over f
+    s = initial_state(small_cfg(epsilon=0.05))
+    ws = flow.Workspace((N,) * 5)
+    assert flow._pointwise_spin(s.rho1, s.rho2, 1e-6, s.t, ws) is ws
+    assert ws.sign in (-1, 1) and np.all(np.sign(ws.f) == ws.sign)
+    assert ws.min_abs_f == float(np.min(np.abs(ws.f)))
+    assert np.array_equal(ws.phi, np.sqrt(np.abs(ws.f)))
+    assert np.array_equal(ws.f, stability_field(s.rho1, s.rho2))
+
+
+def test_central_window_checks_the_spacing_of_tiny_time_steps():
+    # numpy's default atol = 1e-8 passed any spacing once |dt| was below about 1e-8
+    states = run_flow(small_cfg(dt=1e-9, steps=2, diagnostics=("nahm",))).states()
+    assert central_window(states)[1:] == (states[1], states[2], 1e-9)
+    for s, t in zip(states, (0.0, 1e-9, 3e-9)):
+        s.t = t
+    with pytest.raises(ValueError, match="states are not uniformly spaced in time"):
+        central_window(states)

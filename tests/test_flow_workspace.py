@@ -44,7 +44,7 @@ def reference_rhs(rho1, rho2, method, floor, t):
     qt, ft = q_tables(), form_tables(5)
     q1, q2 = qt.q_apply(rho1), qt.q_apply(rho2)
     f = section_inner(q1, q2)
-    sign = flow._check_stability(f, floor, t)
+    sign, _ = flow._check_stability(f, floor, t)
     phi = np.sqrt(np.abs(f))
     hat1 = ft.clifford_apply(q1 / phi, rho2, 0) * sign
     hat2 = ft.clifford_apply(q2 / phi, rho1, 0) * (-sign)

@@ -215,7 +215,7 @@ def test_memoized_state_is_read_only_and_copies_start_empty():
     with pytest.raises(ValueError, match="read-only"):
         state.rho1[0] += 1.0
     with pytest.raises(ValueError, match="read-only"):
-        s.triple[1][0] += 1.0
+        s.spin.triple[1][0] += 1.0
     # the slice reads its spatial parts back from sigma
     maps = sixdim._index_maps()
     assert np.array_equal(s.sigma[maps["even5_even6"]], state.rho1 + state.rho2)

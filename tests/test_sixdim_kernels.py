@@ -125,7 +125,7 @@ def ref_courant_bracket_6d(u_slices, v_slices, dt, method):
 
 def ref_ez_check(slices, method):
     prev, mid, nxt, dt = central_window(slices)
-    v1m, hm, v2m = mid.triple
+    v1m, hm, v2m = mid.spin.triple
     lam5 = lambda_field(hm, courant_bracket_grid(v1m, v2m, method))
     vv = section_inner(mid.v_z, mid.v_z)
     vw = section_inner(mid.v_z, mid.w_z)
