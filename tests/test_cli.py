@@ -933,7 +933,7 @@ def test_an_output_naming_an_input_or_another_output_exits_2_before_any_work(
         monkeypatch.setattr(cli, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
     paths = {"IN": tmp_path / "in.json", "OTHER": tmp_path / "other.json",
              "OUT": tmp_path / "out.json", "X": tmp_path / "x.npz",
-             "LINK": tmp_path / "link.json", "DOT": tmp_path / "." / "in.json"}
+             "LINK": tmp_path / "link.json", "DOT": os.path.join(tmp_path, ".", "in.json")}
     paths["IN"].write_text("not read")
     paths["OTHER"].write_text("not read")
     paths["LINK"].symlink_to(paths["IN"])
