@@ -582,12 +582,13 @@ def build_parser() -> argparse.ArgumentParser:
     xc.add_argument("--z", help="comma-separated z values, e.g. '1,-1,1/2,0,inf'")
     xc.add_argument("--out")
 
+    for leaf in (vi, vs, vt, sa, fr, xc):     # main's own usage errors name the subcommand
+        leaf.set_defaults(leaf=leaf)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # the inputs come first; an output that names a file named before it, or that is
         # in a missing directory or is a directory, exits 2 before any work
@@ -611,24 +612,24 @@ def main(argv: Sequence[str] | None = None) -> int:
                         args.out)
         if args.command == "verify" and args.suite == "skew-torsion":
             if args.points and not args.input:
-                parser.error("--points is read only with --input")
+                args.leaf.error("--points is read only with --input")
             if args.input:
                 return emit(skew_torsion_file(args.input, args.points), args.out)
             return emit(skew_torsion_suite(args.dim, args.metrics, args.sample_points,
                                            args.seed), args.out)
         if args.command == "verify" and args.suite == "twisted":
             if args.dim < 2 and not args.input:
-                parser.error(f"--dim: the built-in cover needs dim >= 2, got {args.dim}")
+                args.leaf.error(f"--dim: the built-in cover needs dim >= 2, got {args.dim}")
             return emit(twisted_suite(args.dim, args.cases, args.seed, args.input), args.out)
         if args.command == "spin55":
             if args.rho and args.normal_form:
-                parser.error("spin55 analyze takes a rho file or --normal-form, not both")
+                args.leaf.error("spin55 analyze takes a rho file or --normal-form, not both")
             if args.normal_form:
                 rho = normal_form()
             elif args.rho:
                 rho = gio.parse_rho_pair(gio.load_json(args.rho))
             else:
-                parser.error("spin55 analyze needs a rho file or --normal-form")
+                args.leaf.error("spin55 analyze needs a rho file or --normal-form")
             pts = (gio.parse_points(gio.load_json(args.points), 5) if args.points else None)
             return emit(spin55_analyze(rho, pts), args.out)
         if args.command == "flow":

@@ -617,7 +617,7 @@ def initial_state(config: FlowConfig) -> GridState:
 class Trajectory:
     """A run's config, its per-state diagnostics and its ring of recorded states, the
     one store of them: ``run_flow`` appends each state as it records it, and a
-    trajectory file holds the ring at exactly the path given."""
+    trajectory file holds the ring, uncompressed, at exactly the path given."""
 
     config: FlowConfig
     diagnostics: list[dict] = field(default_factory=list)
@@ -633,7 +633,7 @@ class Trajectory:
     def save(self, path: str) -> None:
         states = self.states()
         with open(path, "wb") as fh:        # numpy adds ".npz" to a name, not to a file
-            np.savez_compressed(
+            np.savez(
                 fh,
                 times=np.array([s.t for s in states]),
                 rho1=np.stack([s.rho1 for s in states]),
@@ -650,11 +650,12 @@ class Trajectory:
         with open(path, "rb") as fh:
             if not zipfile.is_zipfile(fh):
                 raise ValueError("not a trajectory written by `flow run` (not an .npz file)")
-        # every npz access decompresses the member again: read each one once
-        with np.load(path, allow_pickle=False) as data:
-            config = FlowConfig.from_json_obj(json.loads(str(data["config"])))
-            diagnostics = json.loads(str(data["diagnostics"]))
-            times, rho1, rho2 = data["times"], data["rho1"], data["rho2"]
+            fh.seek(0)
+            # each npz access re-reads its member, stored or (earlier versions) deflated: read once
+            with np.load(fh, allow_pickle=False) as data:
+                config = FlowConfig.from_json_obj(json.loads(str(data["config"])))
+                diagnostics = json.loads(str(data["diagnostics"]))
+                times, rho1, rho2 = data["times"], data["rho1"], data["rho2"]
         if times.ndim != 1 or len(times) < 1:
             raise ValueError(f"trajectory times must be a non-empty list, got shape {times.shape}")
         shape = (len(times), N_COEFF) + (config.n,) * DIM

@@ -598,10 +598,15 @@ def test_counts_below_1_exit_2(capsys, args):
         "twisted-dim-0-with-a-cover", "spin55-analyze-without-a-pair",
         "skew-torsion-points-without-an-input", "spin55-analyze-with-a-pair-and-the-normal-form"])
 def test_usage_errors_name_the_option_and_its_limit(capsys, args, message):
+    # the errors main raises itself print their subcommand's usage and prefix, as
+    # argparse's own do (they printed the top-level ones, "gengeo: error:")
     with pytest.raises(SystemExit) as exc:
         run_cli(args)
     assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
+    command = "gengeo " + " ".join(args[:2])
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {command} [-h]")
+    assert err.splitlines()[-1] == f"{command}: error: {message}"
 
 
 def test_twisted_dim_1_with_a_cover_file_runs(tmp_path):

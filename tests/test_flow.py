@@ -1,10 +1,12 @@
 import json
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
 
 from gengeo import flow
+from gengeo.cli import main
 from gengeo.flow import (FlowConfig, Trajectory, central_window, closedness_norms,
                          courant_bracket_grid, derivative_matrix, flow_step, gradient, grid_d,
                          hamiltonian, initial_state, nahm_residual, perturbation_forms,
@@ -249,10 +251,44 @@ def test_trajectory_save_load_round_trip(tmp_path):
     path = str(tmp_path / "traj.npz")
     traj.save(path)
     back = Trajectory.load(path)
-    assert back.config.n == cfg.n and back.config.dt == cfg.dt
+    assert back.config == cfg and back.diagnostics == traj.diagnostics
+    _assert_same_states(back, traj)
+
+
+def _assert_same_states(back, traj):
     assert len(back.states()) == len(traj.states())
-    assert np.allclose(back.states()[-1].rho1, traj.states()[-1].rho1)
-    assert back.diagnostics[-1]["t"] == pytest.approx(traj.diagnostics[-1]["t"])
+    for a, b in zip(back.states(), traj.states()):
+        assert a.t == b.t and a.dt == b.dt
+        assert np.array_equal(a.rho1, b.rho1) and np.array_equal(a.rho2, b.rho2)
+
+
+def test_trajectory_members_are_stored_uncompressed(tmp_path):
+    path = tmp_path / "traj.npz"
+    run_flow(small_cfg(steps=2)).save(str(path))
+    with zipfile.ZipFile(path) as archive:
+        members = archive.infolist()
+    assert sorted(m.filename for m in members) == [
+        "config.npy", "diagnostics.npy", "rho1.npy", "rho2.npy", "times.npy"]
+    assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+
+
+def test_compressed_trajectory_of_earlier_versions_loads_and_checks_the_same(tmp_path):
+    traj = run_flow(small_cfg(steps=3))
+    stored, compressed = tmp_path / "stored.npz", tmp_path / "compressed.npz"
+    traj.save(str(stored))
+    _resave(stored, compressed)
+    with zipfile.ZipFile(compressed) as archive:
+        assert all(m.compress_type == zipfile.ZIP_DEFLATED for m in archive.infolist())
+    back = Trajectory.load(str(compressed))
+    assert back.config == traj.config and back.diagnostics == traj.diagnostics
+    _assert_same_states(back, traj)
+    reports = []
+    for path in (stored, compressed):
+        out = path.with_suffix(".json")
+        assert main(["sixdim", "check", "--trajectory", str(path), "--z", "1,inf",
+                     "--out", str(out)]) == 0
+        reports.append(out.read_bytes().replace(bytes(path), b"<trajectory>"))
+    assert reports[0] == reports[1]
 
 
 def test_stationary_nahm_residual_zero():
